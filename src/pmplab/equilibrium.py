@@ -40,7 +40,7 @@ from typing import Sequence
 
 from scipy.optimize import brentq
 
-from .congestion import CongestionModel
+from .congestion import _HUGE_LEVEL, CongestionModel
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -189,25 +189,24 @@ class _Group:
             return model._value_capped(q / total, 1.0)
         cap = self.max_usage(model)
         if q >= cap:
-            return 1e12 * (1.0 + q - cap)
-        lo = self.floor_level(model)
+            return _HUGE_LEVEL * (1.0 + q - cap)
+        floors = [model.level_floor(c) for c in self.caps]
+        lo = min(floors)
         if q <= 0.0:
             return lo
+        usage_at = _pooled_usage(model, self.caps, floors)
         hi = max(lo * 2.0, 1e-6)
-        while self._usage_at(model, hi) < q:
+        while usage_at(hi) < q:
             hi *= 2.0
             if hi > 1e14:
                 return hi
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if self._usage_at(model, mid) < q:
+            if usage_at(mid) < q:
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
-
-    def _usage_at(self, model: CongestionModel, lev: float) -> float:
-        return sum(model.usage_at_level(lev, c) for c in self.caps)
 
     def split(self, model: CongestionModel, q: float) -> list:
         """Member usages at the matched level, summing to q exactly."""
@@ -224,6 +223,29 @@ class _Group:
         elif parts:
             parts[0] = q
         return parts
+
+
+def _pooled_usage(model: CongestionModel, caps, floors):
+    """Total member usage as a function of the common level.
+
+    The kind dispatch, floors and per-member constants are settled once, so
+    the bisection in ``_Group.level`` evaluates only the inverse arithmetic.
+    Each term is written exactly as in ``CongestionModel.usage_at_level`` and
+    summed in member order, so the result matches summing that method.
+    """
+    members = list(zip(caps, floors))
+    if model.kind == "latency":
+        return lambda lev: sum([c - 1.0 / lev if lev > fl else 0.0 for c, fl in members])
+    if model.kind == "general_latency":
+        d2 = model.delta2
+        return lambda lev: sum([
+            (a := 2.0 * c * lev - 2.0) * c / (1.0 + d2 + a) if lev > fl else 0.0
+            for c, fl in members
+        ])
+    # outage, the remaining numerically inverted kind
+    eps = model.eps
+    roots = [(c, fl, 1.0 / c) for c, fl in members]
+    return lambda lev: sum([c * (lev ** r) / eps if lev > fl else 0.0 for c, fl, r in roots])
 
 
 def _group_by_price(prices, capacities):
@@ -270,9 +292,9 @@ def prices_from_cutoffs(
     if th[-1] < -1e-15:
         raise OrderError("cutoffs must be nonnegative")
 
-    F = scenario.dist.cdf
     bounds = th + [0.0]
-    usages = [F(bounds[i]) - F(bounds[i + 1]) for i in range(m)]
+    cum = [scenario.dist.cdf(t) for t in th] + [0.0]  # F(0) = 0
+    usages = [cum[i] - cum[i + 1] for i in range(m)]
     levels = []
     for q, c in zip(usages, scenario.capacities):
         if q <= 1e-15:
@@ -473,11 +495,12 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     def residual_jacobian(x, pinned):
         """Residuals and Jacobian at cutoff vector x; row 0 dropped if pinned."""
         xs = list(x) + [0.0]
-        qs = [dist.cdf(xs[i]) - dist.cdf(xs[i + 1]) for i in range(n)]
+        cum = [dist.cdf(t) for t in x] + [0.0]  # F(0) = 0
+        qs = [cum[i] - cum[i + 1] for i in range(n)]
         if model.kind in ("latency", "general_latency"):
             for q, c in zip(qs, caps):
                 if q >= c:
-                    return None, None, None
+                    return None, None, None, None
         ks = [model._value_capped(q, c) for q, c in zip(qs, caps)]
         sl = [model._slope(max(q, min_q + 1e-13), c) for q, c in zip(qs, caps)]
         fs = [dist.density(t) for t in xs]
@@ -501,7 +524,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
                 if i + 1 < n:
                     row[i + 1] = xs[i] * sl[i] * fs[i + 1]
             jac.append([row[j] for j in rows] if pinned else row)
-        return res, jac, ks
+        return res, jac, ks, qs
 
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
@@ -521,15 +544,16 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         return xs
 
     def run(pinned, seed=None):
+        """Newton iterate; returns (cutoffs, levels, usages) or None."""
         if pinned and n == 1:
-            k0 = model._value_capped(dist.cdf(theta_bar), caps[0])
-            return [theta_bar], [k0]
+            q0 = dist.cdf(theta_bar)
+            return [theta_bar], [model._value_capped(q0, caps[0])], [q0]
         x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
         if pinned:
             x[0] = theta_bar
         top_cap = theta_bar * (3.0 if not pinned else 1.0)
         for _ in range(32):
-            res, jac, _ks = residual_jacobian(x, pinned)
+            res, jac, _ks, _qs = residual_jacobian(x, pinned)
             if res is None:
                 return None
             if max(abs(r) for r in res) < 1e-12:
@@ -555,10 +579,10 @@ def _newton_chain(scenario: MarketScenario, act_groups):
                 return None
         else:
             return None
-        res, _jac, ks = residual_jacobian(x, pinned)
+        res, _jac, ks, qs = residual_jacobian(x, pinned)
         if res is None or max(abs(r) for r in res) > 1e-10:
             return None
-        return x, ks
+        return x, ks, qs
 
     out = run(pinned=False, seed=capacity_seed())
     if out is None:
@@ -573,13 +597,13 @@ def _newton_chain(scenario: MarketScenario, act_groups):
             got = run(pinned=True)
         if got is None:
             return ("fail", None)
-        x, ks = got
+        x, ks, qs = got
         slack = v - prices[0] - theta_bar * ks[0]
         if slack < -1e-9:
             return ("fail", None)
         saturated = True
     else:
-        x, ks = out
+        x, ks, qs = out
         saturated = x[0] >= theta_bar - 1e-14
 
     # collapsed interval -> that group should be empty
@@ -587,7 +611,6 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     for i in range(n):
         if xs[i] - xs[i + 1] <= 1e-10:
             return ("corner", i)
-    qs = [dist.cdf(xs[i]) - dist.cdf(xs[i + 1]) for i in range(n)]
     if any(q < min_q - 1e-12 for q in qs):
         return ("fail", None)
     return ("ok", (list(x), list(ks), saturated))
@@ -612,19 +635,21 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
     n = len(act)
     prices = [g.price for g in act]
 
-    def resolve(j, top):
+    def resolve(j, top, f_top):
+        """Solve groups j.. below boundary ``top``, where F(top) = f_top."""
         if j == n - 1:
-            return [], [act[j].level(model, F(top))]
+            return [], [act[j].level(model, f_top)]
         dp = prices[j] - prices[j + 1]
 
         def resid(b):
-            sub = resolve(j + 1, b)
+            f_b = F(b)
+            sub = resolve(j + 1, b, f_b)
             if isinstance(sub, int):
-                return None, sub
-            kj = act[j].level(model, F(top) - F(b))
-            return b * (sub[1][0] - kj) - dp, sub
+                return None, sub, None
+            kj = act[j].level(model, f_top - f_b)
+            return b * (sub[1][0] - kj) - dp, sub, kj
 
-        r_top, sub_top = resid(top)
+        r_top, sub_top, _ = resid(top)
         if r_top is None:
             return sub_top
         if r_top < 0.0:
@@ -633,7 +658,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         r_lo_val = None
         for _ in range(24):
             mid = 0.5 * (lo + hi)
-            r_mid, _ = resid(mid)
+            r_mid = resid(mid)[0]
             if r_mid is None or r_mid < 0.0:
                 lo, r_lo_val = mid, r_mid
             else:
@@ -649,7 +674,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         else:
             for _ in range(56):
                 mid = 0.5 * (lo + hi)
-                r_mid, _ = resid(mid)
+                r_mid = resid(mid)[0]
                 if r_mid is None or r_mid < 0.0:
                     lo, r_lo_val = mid, r_mid
                 else:
@@ -660,17 +685,16 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
             # a feasibility threshold (some deeper group losing its last
             # user) makes the residual jump sign without crossing zero, and
             # the deeper corner must be resolved globally instead
-            r_lo, sub_lo = resid(lo)
+            r_lo, sub_lo, _ = resid(lo)
             if r_lo is None and lo > 0.0:
                 return sub_lo
-        r_fin, sub_fin = resid(hi)
+        r_fin, sub_fin, k_fin = resid(hi)
         if r_fin is None:
             return sub_fin
-        kj = act[j].level(model, F(top) - F(hi))
-        return [hi] + sub_fin[0], [kj] + sub_fin[1]
+        return [hi] + sub_fin[0], [k_fin] + sub_fin[1]
 
     def top_gap(t1):
-        sub = resolve(0, t1)
+        sub = resolve(0, t1, F(t1))
         if isinstance(sub, int):
             return None, sub
         return v - prices[0] - t1 * sub[1][0], sub
@@ -766,12 +790,12 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
         for ci in g.idx:
             price_per_class[ci] = g.price
 
-    bottoms = sol.boundaries[1:] + [0.0]
-    for gi, top, bottom, lev in zip(sol.active, sol.boundaries, bottoms, sol.levels):
+    f_tops = [F(t) for t in sol.boundaries]
+    f_bottoms = f_tops[1:] + [0.0]  # F(0) = 0
+    for gi, top, f_top, f_bottom in zip(sol.active, sol.boundaries, f_tops, f_bottoms):
         g = groups[gi]
-        q_group = F(top) - F(bottom)
-        parts = g.split(model, q_group)
-        cum = F(bottom)
+        parts = g.split(model, f_top - f_bottom)
+        cum = f_bottom
         for ci, q in zip(reversed(g.idx), reversed(parts)):
             usages[ci] = q
             cum += q

@@ -39,11 +39,6 @@ class BoundaryError(PmplabError, ValueError):
     """A finite-difference step would cross a price-ordering case boundary."""
 
 
-class TieDegenerateError(PmplabError, RuntimeError):
-    """Equal-price classes could not be separated by congestion-level
-    matching (singular tie)."""
-
-
 class NoConvergenceError(PmplabError, RuntimeError):
     """Best-response iteration cycled or exhausted its round budget.
 

@@ -12,7 +12,7 @@ are supported:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -47,6 +47,11 @@ class TypeDistribution:
                     raise DomainError("tabulated CDF breakpoints must be strictly increasing")
         elif self.kind != "uniform":
             raise DomainError(f"unknown distribution kind {self.kind!r}")
+        # breakpoint coordinates for bisection, built once: every solve
+        # evaluates the CDF hundreds of times.  Plain attributes, not
+        # fields, so equality, hashing and repr still see only the fields.
+        object.__setattr__(self, "_xs", tuple(p[0] for p in self.points))
+        object.__setattr__(self, "_fs", tuple(p[1] for p in self.points))
 
     # -- CDF / quantile -----------------------------------------------------
 
@@ -101,13 +106,16 @@ class TypeDistribution:
             return 0.0
         if self.kind == "uniform":
             return (hi * hi - lo * lo) / (2.0 * self.support_end)
+        xs = self._xs
         total = 0.0
-        for (x0, f0), (x1, f1) in zip(self.points, self.points[1:]):
+        # only the segments overlapping [lo, hi] add a term
+        for i in range(bisect_right(xs, lo) - 1, bisect_left(xs, hi)):
+            x0, f0 = self.points[i]
+            x1, f1 = self.points[i + 1]
             a = max(lo, x0)
             b = min(hi, x1)
-            if b > a:
-                density = (f1 - f0) / (x1 - x0)
-                total += density * (b * b - a * a) / 2.0
+            density = (f1 - f0) / (x1 - x0)
+            total += density * (b * b - a * a) / 2.0
         return total
 
     def welfare_integral(self, lo: float, hi: float, v: float, level: float) -> float:
@@ -119,16 +127,6 @@ class TypeDistribution:
         if hi < lo:
             raise DomainError(f"bad integration bounds [{lo}, {hi}]")
         return v * (self.cdf(hi) - self.cdf(lo)) - level * self.weighted_mass(lo, hi)
-
-    # -- internals ----------------------------------------------------------
-
-    @property
-    def _xs(self):
-        return [p[0] for p in self.points]
-
-    @property
-    def _fs(self):
-        return [p[1] for p in self.points]
 
 
 def uniform(theta_bar: float = 1.0) -> TypeDistribution:

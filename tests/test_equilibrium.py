@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmplab import congestion as cg
 from pmplab import equilibrium as eqm
@@ -313,3 +314,69 @@ def test_identical_price_levels_match():
             for lev, q in zip(eq.levels, eq.usages):
                 if q <= 1e-9:
                     assert lev >= shared - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# tie-group level inversion against the plain bisection
+# ---------------------------------------------------------------------------
+
+def _ref_group_level(model, caps, q):
+    """Plain 80-step bisection over the public usage_at_level, which
+    _Group.level must reproduce bit for bit."""
+    def usage_at(lev):
+        return sum(model.usage_at_level(lev, c) for c in caps)
+
+    q = max(q, 0.0)
+    cap = sum(caps) if model.kind in ("latency", "general_latency") else math.inf
+    if q >= cap:
+        return 1e12 * (1.0 + q - cap)
+    lo = min(model.level_floor(c) for c in caps)
+    if q <= 0.0:
+        return lo
+    hi = max(lo * 2.0, 1e-6)
+    while usage_at(hi) < q:
+        hi *= 2.0
+        if hi > 1e14:
+            return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if usage_at(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_group_split(model, caps, q):
+    lev = _ref_group_level(model, caps, q)
+    parts = [model.usage_at_level(lev, c) for c in caps]
+    total = sum(parts)
+    if total > 0.0:
+        j = max(range(len(parts)), key=lambda i: parts[i])
+        parts[j] += q - total
+    else:
+        parts[0] = q
+    return parts
+
+
+_INVERTED_KINDS = st.sampled_from(
+    [cg.latency(), cg.general_latency(0.0), cg.general_latency(1.7),
+     cg.outage(1.0), cg.outage(0.35)]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _INVERTED_KINDS,
+    st.lists(st.floats(0.05, 2.0), min_size=2, max_size=3),
+    st.floats(0.0, 1.2),
+)
+def test_tie_group_level_matches_bisection_reference(model, caps, frac):
+    group = eqm._Group(1.0, list(caps), list(range(len(caps))))
+    q = frac * sum(caps) if model.kind != "outage" else 3.0 * frac
+    assert group.level(model, q) == _ref_group_level(model, caps, q)
+    assert group.split(model, q) == _ref_group_split(model, caps, q)
+    if model.kind == "latency" and q < sum(caps):
+        pooled = len(caps) / (sum(caps) - q)
+        if pooled > 1.0 / min(caps) * (1.0 + 1e-9):  # every member serves
+            assert group.level(model, q) == pytest.approx(pooled, rel=1e-12, abs=0.0)

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pmplab.errors import DomainError
-from pmplab.population import tabulated, tabulated_from_file, uniform
+from pmplab.population import TypeDistribution, tabulated, tabulated_from_file, uniform
 
 
 def test_uniform_cdf():
@@ -108,3 +110,109 @@ def test_support_end_validation():
         uniform(1.5)
     with pytest.raises(DomainError):
         uniform(0.0)
+
+
+# -- tabulated tables against a brute-force reference -------------------------
+#
+# The reference rebuilds the breakpoint lists on every call and integrates over
+# every segment; the library must give the same floats, not just close ones.
+
+def _ref_cdf(d, theta):
+    if theta >= d.support_end:
+        return 1.0
+    xs = [p[0] for p in d.points]
+    i = bisect_right(xs, theta) - 1
+    x0, f0 = d.points[i]
+    x1, f1 = d.points[i + 1]
+    return f0 + (f1 - f0) * (theta - x0) / (x1 - x0)
+
+
+def _ref_density(d, theta):
+    if theta < 0.0 or theta > d.support_end:
+        return 0.0
+    xs = [p[0] for p in d.points]
+    i = min(max(bisect_right(xs, theta) - 1, 0), len(xs) - 2)
+    x0, f0 = d.points[i]
+    x1, f1 = d.points[i + 1]
+    return (f1 - f0) / (x1 - x0)
+
+
+def _ref_quantile(d, q):
+    q = min(q, 1.0)
+    fs = [p[1] for p in d.points]
+    i = min(bisect_right(fs, q) - 1, len(fs) - 2)
+    x0, f0 = d.points[i]
+    x1, f1 = d.points[i + 1]
+    return x0 + (x1 - x0) * (q - f0) / (f1 - f0)
+
+
+def _ref_weighted_mass(d, lo, hi):
+    hi = min(hi, d.support_end)
+    lo = min(lo, d.support_end)
+    if hi <= lo:
+        return 0.0
+    total = 0.0
+    for (x0, f0), (x1, f1) in zip(d.points, d.points[1:]):
+        a = max(lo, x0)
+        b = min(hi, x1)
+        if b > a:
+            density = (f1 - f0) / (x1 - x0)
+            total += density * (b * b - a * a) / 2.0
+    return total
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(2, 300))
+    steps = st.floats(1e-3, 1.0)
+    dx = draw(st.lists(steps, min_size=n - 1, max_size=n - 1))
+    df = draw(st.lists(steps, min_size=n - 1, max_size=n - 1))
+    end = draw(st.floats(0.05, 1.0))
+    xs, fs = [0.0], [0.0]
+    for k in range(1, n - 1):
+        xs.append(end * sum(dx[:k]) / sum(dx))
+        fs.append(sum(df[:k]) / sum(df))
+    xs.append(end)
+    fs.append(1.0)
+    try:
+        return tabulated(zip(xs, fs))
+    except DomainError:  # rounding merged two breakpoints
+        assume(False)
+
+
+def _arguments(d):
+    """Types drawn across and beyond the support, and the breakpoints themselves."""
+    return st.one_of(
+        st.floats(0.0, 1.2 * d.support_end),
+        st.sampled_from(d._xs),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tabulated_matches_brute_force_reference(data):
+    d = data.draw(_tables())
+    theta = data.draw(_arguments(d))
+    assert d.cdf(theta) == _ref_cdf(d, theta)
+    assert d.density(theta) == _ref_density(d, theta)
+    q = data.draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(d._fs)))
+    assert d.quantile(q) == _ref_quantile(d, q)
+    lo, hi = sorted((theta, data.draw(_arguments(d))))
+    assert d.weighted_mass(lo, hi) == _ref_weighted_mass(d, lo, hi)
+    v = data.draw(st.floats(0.0, 3.0))
+    level = data.draw(st.floats(0.0, 10.0))
+    ref = v * (_ref_cdf(d, hi) - _ref_cdf(d, lo)) - level * _ref_weighted_mass(d, lo, hi)
+    assert d.welfare_integral(lo, hi, v, level) == ref
+
+
+def test_breakpoint_cache_is_not_a_field():
+    pts = [(0.0, 0.0), (0.4, 0.7), (1.0, 1.0)]
+    d, same = tabulated(pts), tabulated(pts)
+    assert [f.name for f in dataclasses.fields(TypeDistribution)] == ["kind", "support_end", "points"]
+    assert d == same and hash(d) == hash(same)
+    assert d != tabulated([(0.0, 0.0), (0.5, 0.7), (1.0, 1.0)])
+    assert repr(d) == (
+        "TypeDistribution(kind='tabulated', support_end=1.0, "
+        "points=((0.0, 0.0), (0.4, 0.7), (1.0, 1.0)))"
+    )
+    assert dataclasses.replace(d, points=tuple(pts)) == d
