@@ -10,8 +10,8 @@ Subcommands::
 
 Every command reads one scenario file, writes one CSV named after the
 command into the output directory, and prints a short summary.  All
-numeric output carries 9 significant digits; rows appear in grid order
-regardless of the thread count, so repeated runs are byte-identical.
+numeric output carries 9 significant digits and rows appear in grid
+order, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 input error, 3 computation error.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import congestion as cg
 from . import duopoly as duop
@@ -55,14 +54,6 @@ def _write_csv(path, header, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
-
-
-def _parallel_map(fn, items, threads):
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _need(sf: ScenarioFile, attr, what, command):
@@ -176,9 +167,9 @@ def _cmd_partition(sf: ScenarioFile, args) -> int:
         except PmplabError as exc:
             return exc
 
-    results = _parallel_map(work, prices, args.threads)
     rows, failures = [], 0
-    for p, res in zip(prices, results):
+    for p in prices:
+        res = work(p)
         if isinstance(res, Exception):
             failures += 1
             print(f"p={p:.9g}: {res}", file=sys.stderr)
@@ -208,9 +199,9 @@ def _cmd_probe(sf: ScenarioFile, args) -> int:
         except PmplabError as exc:
             return exc
 
-    results = _parallel_map(work, prices, args.threads)
     rows, failures = [], 0
-    for p, res in zip(prices, results):
+    for p in prices:
+        res = work(p)
         if isinstance(res, Exception):
             failures += 1
             print(f"p={p:.9g}: {res}", file=sys.stderr)
@@ -274,8 +265,6 @@ def _build_parser():
         p.add_argument("--objective", choices=("welfare", "profit"), default="profit")
         p.add_argument("--grid", type=int, default=None, help="grid resolution override")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid evaluation (0 = auto)")
     return parser
 
 

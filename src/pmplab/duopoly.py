@@ -316,12 +316,20 @@ def _segmented_price_max(f, v, boundaries, grid=256, xtol=1e-7):
 
 def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy,
                     grid: int = 256, xtol: float = 1e-7):
-    """Provider I's profit-maximizing price against a fixed rival offer."""
+    """Provider I's profit-maximizing price against a fixed rival offer.
+
+    A price the search visits again is solved once per call; nothing is
+    cached across calls.
+    """
+    profits = {}  # price -> provider I's profit, None where the solve raised
+
     def f(p):
-        try:
-            return _profit_i(duo, p, strat_ii)
-        except PmplabError:
-            return None
+        if p not in profits:
+            try:
+                profits[p] = _profit_i(duo, p, strat_ii)
+            except PmplabError:
+                profits[p] = None
+        return profits[p]
 
     boundaries = [p for p, _c in strat_ii.classes]
     return _segmented_price_max(f, duo.v, boundaries, grid=grid, xtol=xtol)
@@ -329,7 +337,7 @@ def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy,
 
 def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
                      grid: int = 192, xtol: float = 1e-7,
-                     split_grid: int = 33, cycles: int = 3):
+                     split_grid: int = 33, cycles: int = 3, _one=None):
     """Provider II's best offer against a fixed provider-I price.
 
     mode 'one': a single class at capacity C_II, price optimized per case
@@ -339,19 +347,39 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
     candidates, so the two-class value never falls below it (beyond the
     ascent tolerance).
 
+    An offer the search visits again (after zero-capacity classes are
+    dropped, so a zero split is the one-class offer) is solved once per
+    call; nothing is cached across calls.  ``_one`` takes a mode-one result
+    ``(price, profit)`` already found for this ``p_i`` and ``grid``, so mode
+    two skips that search.
+
     Returns (strategy, profit).
     """
     if duo.cap_ii <= 0.0:
         return ProviderStrategy(()), 0.0
     v = duo.v
+    profits = {}  # offer classes -> provider II's profit, None where the solve raised
+
+    def profit(strat):
+        key = strat.classes
+        if key not in profits:
+            try:
+                profits[key] = _profit_ii(duo, p_i, strat)
+            except PmplabError:
+                profits[key] = None
+        return profits[key]
 
     def f_one(p):
         try:
-            return _profit_ii(duo, p_i, ProviderStrategy.one(p, duo.cap_ii))
+            strat = ProviderStrategy.one(p, duo.cap_ii)
         except PmplabError:
             return None
+        return profit(strat)
 
-    p_one, v_one = _segmented_price_max(f_one, v, [p_i], grid=grid, xtol=xtol)
+    if _one is None:
+        p_one, v_one = _segmented_price_max(f_one, v, [p_i], grid=grid, xtol=xtol)
+    else:
+        p_one, v_one = _one
     if mode == "one":
         return ProviderStrategy.one(p_one, duo.cap_ii), v_one
     if mode != "two":
@@ -361,10 +389,7 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
         if not (0.0 <= p2 <= p1 <= v and 0.0 <= s <= 1.0):
             return None
         strat = ProviderStrategy.two(p1, s * duo.cap_ii, p2, (1.0 - s) * duo.cap_ii)
-        try:
-            return _profit_ii(duo, p_i, strat)
-        except PmplabError:
-            return None
+        return profit(strat)
 
     # the first two seeds embed the one-class optimum into the two-class
     # space (a zero split IS a single class, equal prices level-match),
@@ -556,14 +581,19 @@ def duopoly_curve(duo: DuopolyScenario, p_i_grid: Sequence[float],
 
     For each grid price, provider II best-responds once restricted to a
     single class and once allowed to split; the returned points carry both
-    profits plus provider I's profit against the two-class reply.  Errors
-    at individual grid points are recorded on the point, not raised.
+    profits plus provider I's profit against the two-class reply.  The
+    one-class search runs once per point: its optimum seeds the two-class
+    call.  Each best response solves a repeated offer once; nothing is
+    cached across points.  Errors at individual grid points are recorded
+    on the point, not raised.
     """
     points = []
     for p_i in p_i_grid:
         try:
-            _s1, pi_one = best_response_II(duo, p_i, mode="one", grid=grid)
-            s2, pi_two = best_response_II(duo, p_i, mode="two", grid=grid)
+            s1, pi_one = best_response_II(duo, p_i, mode="one", grid=grid)
+            # an absent provider II (no capacity) has no one-class price
+            one = (s1.classes[0][0], pi_one) if s1.classes else None
+            s2, pi_two = best_response_II(duo, p_i, mode="two", grid=grid, _one=one)
             me = market_equilibrium(duo, ProviderStrategy.one(p_i, duo.cap_i), s2)
             points.append(CurvePoint(float(p_i), me.pi_i, pi_one, pi_two))
         except PmplabError as exc:

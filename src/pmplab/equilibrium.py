@@ -208,11 +208,11 @@ class _Group:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def split(self, model: CongestionModel, q: float) -> list:
-        """Member usages at the matched level, summing to q exactly."""
+    def split(self, model: CongestionModel, q: float, lev: float) -> list:
+        """Member usages at the matched level ``lev`` = ``level(model, q)``,
+        summing to q exactly."""
         if len(self.caps) == 1:
             return [q]
-        lev = self.level(model, q)
         parts = [model.usage_at_level(lev, c) for c in self.caps]
         total = sum(parts)
         if total > 0.0:
@@ -640,14 +640,20 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         if j == n - 1:
             return [], [act[j].level(model, f_top)]
         dp = prices[j] - prices[j + 1]
+        # boundary -> resid result: brentq re-evaluates the bracket ends the
+        # bisection has just solved, and the final pass re-evaluates the root
+        seen = {}
 
         def resid(b):
-            f_b = F(b)
-            sub = resolve(j + 1, b, f_b)
-            if isinstance(sub, int):
-                return None, sub, None
-            kj = act[j].level(model, f_top - f_b)
-            return b * (sub[1][0] - kj) - dp, sub, kj
+            if b not in seen:
+                f_b = F(b)
+                sub = resolve(j + 1, b, f_b)
+                if isinstance(sub, int):
+                    seen[b] = None, sub, None
+                else:
+                    kj = act[j].level(model, f_top - f_b)
+                    seen[b] = b * (sub[1][0] - kj) - dp, sub, kj
+            return seen[b]
 
         r_top, sub_top, _ = resid(top)
         if r_top is None:
@@ -693,11 +699,16 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
             return sub_fin
         return [hi] + sub_fin[0], [k_fin] + sub_fin[1]
 
+    top_seen = {}  # top cutoff -> top_gap result, for the same re-evaluations
+
     def top_gap(t1):
-        sub = resolve(0, t1, F(t1))
-        if isinstance(sub, int):
-            return None, sub
-        return v - prices[0] - t1 * sub[1][0], sub
+        if t1 not in top_seen:
+            sub = resolve(0, t1, F(t1))
+            if isinstance(sub, int):
+                top_seen[t1] = None, sub
+            else:
+                top_seen[t1] = v - prices[0] - t1 * sub[1][0], sub
+        return top_seen[t1]
 
     g_bar, sub_bar = top_gap(theta_bar)
     if g_bar is None:
@@ -792,9 +803,11 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
 
     f_tops = [F(t) for t in sol.boundaries]
     f_bottoms = f_tops[1:] + [0.0]  # F(0) = 0
-    for gi, top, f_top, f_bottom in zip(sol.active, sol.boundaries, f_tops, f_bottoms):
+    for gi, top, f_top, f_bottom, lev in zip(sol.active, sol.boundaries, f_tops, f_bottoms,
+                                             sol.levels):
         g = groups[gi]
-        parts = g.split(model, f_top - f_bottom)
+        # the chain solve inverted this group's level at exactly this mass
+        parts = g.split(model, f_top - f_bottom, lev)
         cum = f_bottom
         for ci, q in zip(reversed(g.idx), reversed(parts)):
             usages[ci] = q

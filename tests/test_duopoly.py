@@ -196,3 +196,95 @@ def test_duopoly_curve_dominance_and_errors():
         assert pt.error is None
         assert pt.pi_ii_two >= pt.pi_ii_one - 1e-9
         assert pt.pi_i >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact bits and the per-call market memo
+# ---------------------------------------------------------------------------
+
+UD = DuopolyScenario(2.0, 1.0, 1.0, cg.utilization_default(0.1))
+ABSENT = DuopolyScenario(2.0, 1.0, 0.0, cg.utilization())
+RIVAL = ProviderStrategy.two(1.3, 0.4, 0.9, 0.6)
+
+
+def _offer(result):
+    strat, value = result
+    return [x for price_cap in strat.classes for x in price_cap] + [value]
+
+
+def _curve(points):
+    return [(pt.p_i, pt.pi_i, pt.pi_ii_one, pt.pi_ii_two) for pt in points]
+
+
+# the utilization_default reply runs into a near-empty premium class, where
+# most markets fall back to the nested bisection
+_CALLS = {
+    "br_I_utilization": lambda: duo.best_response_I(UTL, RIVAL, grid=64),
+    "br_I_default": lambda: duo.best_response_I(UD, RIVAL, grid=64),
+    "br_II_one": lambda: _offer(duo.best_response_II(UTL, 1.2, mode="one", grid=64)),
+    "br_II_two": lambda: _offer(duo.best_response_II(UTL, 1.2, mode="two", grid=64)),
+    "br_II_two_default": lambda: _offer(duo.best_response_II(
+        UD, 1.2, mode="two", grid=32, split_grid=9, cycles=1)),
+    "curve": lambda: _curve(duo.duopoly_curve(UTL, (0.8, 1.6), grid=32)),
+    "curve_absent": lambda: _curve(duo.duopoly_curve(ABSENT, (0.8,), grid=32)),
+}
+
+# float.hex of each result as found with every offer solved afresh and a
+# second one-class search per curve point: the memo must not move a bit
+_BITS = {
+    "br_I_utilization": ("0x1.b3c18424d2e2ep-1", "0x1.0fa7685ca7e7cp-1"),
+    "br_I_default": ("0x1.96bb97e46270ep-1", "0x1.0c7192b24d510p-1"),
+    "br_II_one": ("0x1.03bfaa6db005cp+0", "0x1.0000000000000p+0", "0x1.4e84af0defa05p-1"),
+    "br_II_two": ("0x1.11e62e9080180p+0", "0x1.941a1b4924634p-1",
+                  "0x1.e5224db987bebp-1", "0x1.af9792db6e730p-3", "0x1.58feff56a1fdbp-1"),
+    "br_II_two_default": ("0x1.34fac22f18e08p+0", "0x1.ee75c7ecd5e02p-22",
+                          "0x1.0432afdd21596p+0", "0x1.fffff08c51c0ap-1",
+                          "0x1.77476d4893e34p-1"),
+    "curve": (
+        ("0x1.999999999999ap-1", "0x1.534ed9930705fp-2",
+         "0x1.a4602dc25f4aap-2", "0x1.b2d4a833c91bcp-2"),
+        ("0x1.999999999999ap+0", "0x1.b9877579a278ap-2",
+         "0x1.d93b2dc5bedb6p-1", "0x1.e73febfca6be6p-1"),
+    ),
+    "curve_absent": (("0x1.999999999999ap-1", "0x1.999999999999ap-1", "0x0.0p+0", "0x0.0p+0"),),
+}
+
+
+def _hex(value):
+    if isinstance(value, (tuple, list)):
+        return tuple(_hex(x) for x in value)
+    return float.hex(float(value))
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_best_responses_keep_exact_bits(name):
+    assert _hex(_CALLS[name]()) == _BITS[name]
+
+
+@pytest.mark.parametrize("name", ["br_I_default", "br_II_one", "br_II_two_default"])
+def test_best_response_solves_each_market_once(name, monkeypatch):
+    solved = []
+    market = duo.market_equilibrium
+
+    def counting(d, strat_i, strat_ii):
+        solved.append((strat_i.classes, strat_ii.classes))
+        return market(d, strat_i, strat_ii)
+
+    monkeypatch.setattr(duo, "market_equilibrium", counting)
+    _CALLS[name]()
+    assert solved and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("scenario", [UTL, ABSENT], ids=["utilization", "absent"])
+def test_curve_points_equal_separate_best_responses(scenario, monkeypatch):
+    searches = []
+    search = duo._segmented_price_max
+    monkeypatch.setattr(duo, "_segmented_price_max",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
+    (point,) = duo.duopoly_curve(scenario, (0.4,), grid=32)
+    # one one-class search per point (none when provider II is absent)
+    assert len(searches) == (1 if scenario.cap_ii > 0.0 else 0)
+    _s1, pi_one = duo.best_response_II(scenario, 0.4, mode="one", grid=32)
+    s2, pi_two = duo.best_response_II(scenario, 0.4, mode="two", grid=32)
+    me = duo.market_equilibrium(scenario, ProviderStrategy.one(0.4, scenario.cap_i), s2)
+    assert point == duo.CurvePoint(0.4, me.pi_i, pi_one, pi_two)

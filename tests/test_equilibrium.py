@@ -375,8 +375,115 @@ def test_tie_group_level_matches_bisection_reference(model, caps, frac):
     group = eqm._Group(1.0, list(caps), list(range(len(caps))))
     q = frac * sum(caps) if model.kind != "outage" else 3.0 * frac
     assert group.level(model, q) == _ref_group_level(model, caps, q)
-    assert group.split(model, q) == _ref_group_split(model, caps, q)
+    assert group.split(model, q, group.level(model, q)) == _ref_group_split(model, caps, q)
     if model.kind == "latency" and q < sum(caps):
         pooled = len(caps) / (sum(caps) - q)
         if pooled > 1.0 / min(caps) * (1.0 + 1e-9):  # every member serves
             assert group.level(model, q) == pytest.approx(pooled, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact bits of fallback-path solves
+# ---------------------------------------------------------------------------
+
+# Markets the damped Newton path cannot take (tie groups) or gives up on (a
+# near-empty utilization_default class), so the nested bisection solves them.
+_FALLBACK_CASES = {
+    "ud_near_empty_bottom": (cg.utilization_default(0.1), (1.0, 0.5, 5e-7), (1.0, 0.6, 0.2)),
+    "ud_near_empty_middle": (cg.utilization_default(0.1), (1.0, 5e-7, 1.0), (1.5, 1.0, 0.5)),
+    "latency_tie2": (cg.latency(), (1.0, 0.6), (1.0, 1.0)),
+    "latency_tie3": (cg.latency(), (0.8, 0.5, 0.7), (0.9, 0.9, 0.9)),
+    "latency_tie2_below": (cg.latency(), (1.0, 0.6, 0.5), (1.4, 0.8, 0.8)),
+    "general_latency_tie2": (cg.general_latency(0.5), (1.0, 0.6), (1.0, 1.0)),
+    "general_latency_tie3": (cg.general_latency(0.5), (0.8, 0.5, 0.7), (0.9, 0.9, 0.9)),
+    "general_latency_tie2_below": (cg.general_latency(0.5), (1.0, 0.6, 0.5), (1.4, 0.8, 0.8)),
+    "outage_tie2": (cg.outage(0.5), (1.0, 0.6), (1.0, 1.0)),
+    "outage_tie3": (cg.outage(0.5), (0.8, 0.5, 0.7), (0.9, 0.9, 0.9)),
+    "outage_tie2_above": (cg.outage(0.5), (1.0, 0.6, 0.5), (0.8, 0.8, 0.3)),
+}
+
+# float.hex of (cutoffs, prices, usages, levels) as solved with every bracket
+# end and tie level evaluated afresh: reusing them must not move a bit.  The
+# benchmark compares 9 significant digits only, so only these pin the bits.
+_FALLBACK_BITS = {
+    'general_latency_tie2': (
+        ('0x1.1f4fba446a397p-1', '0x1.9f53909ce6f3ap-5'),
+        ('0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+        ('0x1.055a813a9bca3p-1', '0x1.9f53909ce6f3ap-5'),
+        ('0x1.c833aa7a24f2fp+0', '0x1.c833aa7a24f2dp+0'),
+    ),
+    'general_latency_tie2_below': (
+        ('0x1.1305c5c0c4a35p-1', '0x1.9bdbe388a4defp-2', '0x1.279d33cf21e45p-3'),
+        ('0x1.6666666666666p+0', '0x1.999999999999ap-1', '0x1.999999999999ap-1'),
+        ('0x1.145f4ff1c8cf6p-3', '0x1.080d49a113ecdp-2', '0x1.279d33cf21e45p-3'),
+        ('0x1.1df3aade84290p+0', '0x1.4dec3f63d997cp+1', '0x1.4dec3f63d997ap+1'),
+    ),
+    'general_latency_tie3': (
+        ('0x1.22062f08f819ep-1', '0x1.d05ee84cc0729p-3', '0x1.d05ee84cc0729p-3'),
+        ('0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1'),
+        ('0x1.5bdce9eb8ffa8p-2', '0x0.0p+0', '0x1.d05ee84cc0729p-3'),
+        ('0x1.f120d4d3a8078p+0', '0x1.0000000000000p+1', '0x1.f120d4d3a8076p+0'),
+    ),
+    'latency_tie2': (
+        ('0x1.111111111110ap-1', '0x1.11111111110f8p-4'),
+        ('0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+        ('0x1.dddddddddddd6p-2', '0x1.11111111110f8p-4'),
+        ('0x1.dfffffffffff9p+0', '0x1.dfffffffffffbp+0'),
+    ),
+    'latency_tie2_below': (
+        ('0x1.081ba7f2d5c1ap-1', '0x1.80937fb9c95e1p-2', '0x1.1a2d195362f7cp-3'),
+        ('0x1.6666666666666p+0', '0x1.999999999999ap-1', '0x1.999999999999ap-1'),
+        ('0x1.1f47a057c44a6p-3', '0x1.e6f9e6202fc46p-3', '0x1.1a2d195362f7cp-3'),
+        ('0x1.29c4e10d29f1ep+0', '0x1.6160b0fa0434fp+1', '0x1.6160b0fa04350p+1'),
+    ),
+    'latency_tie3': (
+        ('0x1.12bb512bb5127p-1', '0x1.cb8d1cb8d1ca4p-3', '0x1.b2935b2935b1ep-3'),
+        ('0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1'),
+        ('0x1.3fb013fb013fdp-2', '0x1.8f9c18f9c1860p-7', '0x1.b2935b2935b1ep-3'),
+        ('0x1.0666666666667p+1', '0x1.0666666666664p+1', '0x1.0666666666664p+1'),
+    ),
+    'outage_tie2': (
+        ('0x1.0000000000000p+0', '0x1.ea7d49d4887b9p-3'),
+        ('0x1.0000000000000p+0', '0x1.0000000000000p+0'),
+        ('0x1.8560ad8adde12p-1', '0x1.ea7d49d4887b9p-3'),
+        ('0x1.8560ad8adde12p-2', '0x1.8560ad8adde12p-2'),
+    ),
+    'outage_tie2_above': (
+        ('0x1.0000000000000p+0', '0x1.7c701b51c87bcp-1', '0x1.6856d33c14dfep-1'),
+        ('0x1.999999999999ap-1', '0x1.999999999999ap-1', '0x1.3333333333333p-2'),
+        ('0x1.071fc95c6f088p-2', '0x1.4194815b39be3p-5', '0x1.6856d33c14dfep-1'),
+        ('0x1.071fc95c6f088p-3', '0x1.071fc95c6f088p-3', '0x1.ad86f93a9223cp-1'),
+    ),
+    'outage_tie3': (
+        ('0x1.0000000000000p+0', '0x1.05b24328ac646p-1', '0x1.71c7fea8ef40ap-2'),
+        ('0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1'),
+        ('0x1.f49b79aea7375p-2', '0x1.33390f50d3102p-3', '0x1.71c7fea8ef40ap-2'),
+        ('0x1.8c9bb7916791fp-2', '0x1.8c9bb79167920p-2', '0x1.8c9bb79167920p-2'),
+    ),
+    'ud_near_empty_bottom': (
+        ('0x1.0000000000000p+0', '0x1.4853204d38d0dp-1', '0x1.999c28e821c4bp-4'),
+        ('0x1.0000000000000p+0', '0x1.3333333333333p-1', '0x1.999999999999ap-3'),
+        ('0x1.6f59bf658e5e6p-2', '0x1.151f9b3034984p-1', '0x1.999c28e821c4bp-4'),
+        ('0x1.08f358ff27f80p-2', '0x1.c3d8cffa02ca2p-1', '0x1.3879806a18a72p+2'),
+    ),
+    'ud_near_empty_middle': (
+        ('0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x1.ccccc8b2eb81ap-1'),
+        ('0x1.8000000000000p+0', '0x1.0000000000000p+0', '0x1.0000000000000p-1'),
+        ('0x0.0p+0', '0x1.9999ba68a3f30p-4', '0x1.ccccc8b2eb81ap-1'),
+        ('0x0.0p+0', '0x1.f49f2faa41180p-3', '0x1.9999957fb84e7p-1'),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_CASES))
+def test_fallback_solves_keep_exact_bits(name, monkeypatch):
+    calls = []
+    bisect = eqm._solve_active_bisect
+    monkeypatch.setattr(eqm, "_solve_active_bisect",
+                        lambda *args: calls.append(1) or bisect(*args))
+    model, caps, prices = _FALLBACK_CASES[name]
+    eq = eqm.cutoffs_from_prices(eqm.MarketScenario(2.0, caps, model), prices)
+    assert calls  # the case still exercises the fallback path
+    got = tuple(tuple(float.hex(x) for x in getattr(eq, field))
+                for field in ("cutoffs", "prices", "usages", "levels"))
+    assert got == _FALLBACK_BITS[name]
