@@ -108,6 +108,17 @@ class CongestionModel:
             raise DomainError("eps must lie in (0, 1]")
         if self.kind == "utilization_default" and self.eps_default < 0.0:
             raise DomainError("default consumption must be nonnegative")
+        # per-kind kernels, built once: the solvers evaluate them millions of
+        # times.  Plain attributes, not fields, so equality, hashing and repr
+        # still see only the fields.
+        value, value_capped, slope = _kernels(self)
+        object.__setattr__(self, "_value", value)
+        object.__setattr__(self, "_value_capped", value_capped)
+        object.__setattr__(self, "_slope", slope)
+
+    def __reduce__(self):
+        # the kernels are closures: rebuild them rather than pickle them
+        return (type(self), (self.kind, self.delta2, self.kappa, self.eps, self.eps_default))
 
     # -- domain -------------------------------------------------------------
 
@@ -131,38 +142,6 @@ class CongestionModel:
         self.check_domain(q, c)
         return self._value(q, c)
 
-    def _value(self, q: float, c: float) -> float:
-        kind = self.kind
-        if kind == "utilization":
-            return q / c
-        if kind == "utilization_default":
-            return (q - self.eps_default) / c
-        if kind == "latency":
-            return 1.0 / (c - q)
-        if kind == "general_latency":
-            return q * (1.0 + self.delta2) / (2.0 * c * (c - q)) + 1.0 / c
-        if kind == "loss":
-            rho = q / c
-            powers = 1.0
-            acc = 1.0
-            for _ in range(self.kappa):
-                powers *= rho
-                acc += powers
-            return powers / acc
-        # outage
-        return (self.eps * q / c) ** c
-
-    def _value_capped(self, q: float, c: float) -> float:
-        """Solver-internal evaluation: diverged latency maps to a huge finite
-        level instead of raising, and sub-default usage clamps to level 0."""
-        if self.kind in _LATENCY_KINDS and q >= c:
-            return _HUGE_LEVEL * (1.0 + q - c)
-        if self.kind == "utilization_default" and q < self.eps_default:
-            return 0.0
-        if q <= 0.0:
-            q = 0.0
-        return self._value(q, c)
-
     # -- derivatives --------------------------------------------------------
 
     def marginal(self, q: float, c: float, fd_step: Optional[float] = None) -> float:
@@ -175,10 +154,8 @@ class CongestionModel:
         """
         self.check_domain(q, c)
         kind = self.kind
-        if kind in ("utilization", "utilization_default"):
-            return 1.0 / c
-        if kind == "latency":
-            return 1.0 / ((c - q) ** 2)
+        if kind in ("utilization", "utilization_default", "latency"):
+            return self._slope(q, c)
         h = fd_step if fd_step is not None else max(1e-6, 1e-6 * c)
         lo = self.min_usage()
         if q - h < lo or (kind in _LATENCY_KINDS and q + h >= c):
@@ -186,30 +163,6 @@ class CongestionModel:
                 f"usage {q} within finite-difference step {h} of a domain boundary"
             )
         return (self._value(q + h, c) - self._value(q - h, c)) / (2.0 * h)
-
-    def _slope(self, q: float, c: float) -> float:
-        """Analytic dK/dQ for every kind; solver-internal."""
-        kind = self.kind
-        if kind in ("utilization", "utilization_default"):
-            return 1.0 / c
-        if kind == "latency":
-            return 1.0 / ((c - q) ** 2)
-        if kind == "general_latency":
-            return (1.0 + self.delta2) / (2.0 * (c - q) ** 2)
-        if kind == "loss":
-            rho = q / c
-            powers = [1.0]
-            for _ in range(self.kappa):
-                powers.append(powers[-1] * rho)
-            s = sum(powers)
-            sprime = sum(j * powers[j - 1] for j in range(1, self.kappa + 1))
-            grho = (self.kappa * powers[self.kappa - 1] * s - powers[self.kappa] * sprime) / (s * s)
-            return grho / c
-        # outage: d/dq (eps q / c)^c = (eps/c) * c * (eps q / c)^(c-1)
-        base = self.eps * q / c
-        if base == 0.0:
-            return 0.0 if c > 1.0 else (self.eps if c == 1.0 else float("inf"))
-        return self.eps * (base ** (c - 1.0))
 
     # -- inversion ----------------------------------------------------------
 
@@ -269,6 +222,92 @@ class CongestionModel:
         if kind == "utilization_default":
             return f"utilization_default(eps={self.eps_default:g})"
         return kind
+
+
+def _kernels(model: CongestionModel):
+    """``(value, value_capped, slope)`` functions of ``(q, c)`` for one model.
+
+    ``value`` is K(q, c) with no domain check.  ``value_capped`` is the
+    solver-internal evaluation: diverged latency maps to a huge finite level
+    instead of raising, sub-default usage clamps to level 0 and negative
+    usage to 0.  ``slope`` is the analytic dK/dQ.  The kind and parameters
+    are settled here, once per model, so the calls do no dispatch.
+    """
+    kind = model.kind
+    if kind in ("utilization", "utilization_default"):
+        def slope(q, c):
+            return 1.0 / c
+
+        if kind == "utilization":
+            def value(q, c):
+                return q / c
+        else:
+            eps_default = model.eps_default
+
+            def value(q, c):
+                return (q - eps_default) / c
+    elif kind == "latency":
+        def value(q, c):
+            return 1.0 / (c - q)
+
+        def slope(q, c):
+            return 1.0 / ((c - q) ** 2)
+    elif kind == "general_latency":
+        delta2 = model.delta2
+
+        def value(q, c):
+            return q * (1.0 + delta2) / (2.0 * c * (c - q)) + 1.0 / c
+
+        def slope(q, c):
+            return (1.0 + delta2) / (2.0 * (c - q) ** 2)
+    elif kind == "loss":
+        kappa = model.kappa
+
+        def value(q, c):
+            rho = q / c
+            powers = 1.0
+            acc = 1.0
+            for _ in range(kappa):
+                powers *= rho
+                acc += powers
+            return powers / acc
+
+        def slope(q, c):
+            rho = q / c
+            powers = [1.0]
+            for _ in range(kappa):
+                powers.append(powers[-1] * rho)
+            s = sum(powers)
+            sprime = sum(j * powers[j - 1] for j in range(1, kappa + 1))
+            grho = (kappa * powers[kappa - 1] * s - powers[kappa] * sprime) / (s * s)
+            return grho / c
+    else:  # outage
+        eps = model.eps
+
+        def value(q, c):
+            return (eps * q / c) ** c
+
+        def slope(q, c):
+            # d/dq (eps q / c)^c = (eps/c) * c * (eps q / c)^(c-1)
+            base = eps * q / c
+            if base == 0.0:
+                return 0.0 if c > 1.0 else (eps if c == 1.0 else float("inf"))
+            return eps * (base ** (c - 1.0))
+
+    if kind in _LATENCY_KINDS:
+        def value_capped(q, c):
+            if q >= c:
+                return _HUGE_LEVEL * (1.0 + q - c)
+            return value(0.0 if q <= 0.0 else q, c)
+    elif kind == "utilization_default":
+        def value_capped(q, c):
+            if q < eps_default:
+                return 0.0
+            return value(0.0 if q <= 0.0 else q, c)
+    else:
+        def value_capped(q, c):
+            return value(0.0 if q <= 0.0 else q, c)
+    return value, value_capped, slope
 
 
 def utilization() -> CongestionModel:

@@ -65,6 +65,18 @@ _PRICE_TOL = 1e-9      # accepted residual on the indifference equations
 _THETA_TOL = 1e-12     # bisection resolution on cutoffs
 _TIE_TOL = 1e-12       # cutoff ties flagged as degenerate below this gap
 
+# damped Newton on the cutoff chain
+_NEWTON_CONVERGED = 1e-12   # largest |residual| that ends the iteration
+_NEWTON_COLLAPSE = 1e-10    # interval width at which a solved group counts as empty
+_NEWTON_ITERATIONS = 32     # steps per attempt
+_NEWTON_HALVINGS = 12       # step halvings before an attempt gives up
+_SLOPE_FLOOR = 1e-13        # Jacobian slopes taken at least this far above min usage
+
+# brentq on a bracket the nested bisection has isolated
+_BRENT_XTOL = 1e-13
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAXITER = 120
+
 
 # ---------------------------------------------------------------------------
 # scenario and result types
@@ -166,50 +178,58 @@ class _Group:
             return sum(self.caps)
         return math.inf
 
-    def level(self, model: CongestionModel, q: float) -> float:
-        """Common congestion level when the group as a whole serves mass q.
+    def level_function(self, model: CongestionModel):
+        """Common congestion level as a function of the mass q the group
+        as a whole serves.
 
         Members share q so that their levels match (no member may offer a
         strictly better deal at the same price).  Utilization, default
         consumption and loss kinds admit closed forms; the latency kinds
         are inverted numerically, returning a huge finite level once q
-        reaches the pooled capacity so the solvers can bracket.
+        reaches the pooled capacity so the solvers can bracket.  Everything
+        that does not depend on q is settled here, once per group.
         """
-        q = max(q, 0.0)
+        value_capped = model._value_capped
         if len(self.caps) == 1:
-            return model._value_capped(q, self.caps[0])
+            c = self.caps[0]
+            return lambda q: value_capped(max(q, 0.0), c)
         total = sum(self.caps)
         kind = model.kind
         if kind == "utilization":
-            return q / total
+            return lambda q: max(q, 0.0) / total
         if kind == "utilization_default":
-            spare = q - len(self.caps) * model.eps_default
-            return max(spare, 0.0) / total
+            defaults = len(self.caps) * model.eps_default
+            return lambda q: max(max(q, 0.0) - defaults, 0.0) / total
         if kind == "loss":
-            return model._value_capped(q / total, 1.0)
+            return lambda q: value_capped(max(q, 0.0) / total, 1.0)
         cap = self.max_usage(model)
-        if q >= cap:
-            return _HUGE_LEVEL * (1.0 + q - cap)
         floors = [model.level_floor(c) for c in self.caps]
-        lo = min(floors)
-        if q <= 0.0:
-            return lo
+        floor = min(floors)
         usage_at = _pooled_usage(model, self.caps, floors)
-        hi = max(lo * 2.0, 1e-6)
-        while usage_at(hi) < q:
-            hi *= 2.0
-            if hi > 1e14:
-                return hi
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if usage_at(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+
+        def level(q):
+            q = max(q, 0.0)
+            if q >= cap:
+                return _HUGE_LEVEL * (1.0 + q - cap)
+            if q <= 0.0:
+                return floor
+            lo = floor
+            hi = max(lo * 2.0, 1e-6)
+            while usage_at(hi) < q:
+                hi *= 2.0
+                if hi > 1e14:
+                    return hi
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if usage_at(mid) < q:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+        return level
 
     def split(self, model: CongestionModel, q: float, lev: float) -> list:
-        """Member usages at the matched level ``lev`` = ``level(model, q)``,
+        """Member usages at the matched level ``lev`` = ``level_function(model)(q)``,
         summing to q exactly."""
         if len(self.caps) == 1:
             return [q]
@@ -229,9 +249,10 @@ def _pooled_usage(model: CongestionModel, caps, floors):
     """Total member usage as a function of the common level.
 
     The kind dispatch, floors and per-member constants are settled once, so
-    the bisection in ``_Group.level`` evaluates only the inverse arithmetic.
-    Each term is written exactly as in ``CongestionModel.usage_at_level`` and
-    summed in member order, so the result matches summing that method.
+    the bisection in ``_Group.level_function`` evaluates only the inverse
+    arithmetic.  Each term is written exactly as in
+    ``CongestionModel.usage_at_level`` and summed in member order, so the
+    result matches summing that method.
     """
     members = list(zip(caps, floors))
     if model.kind == "latency":
@@ -459,8 +480,13 @@ def _solve_linear(a, b):
     n = len(b)
     m = [row[:] + [rhs] for row, rhs in zip(a, b)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-300:
+        # first row of largest magnitude, the one max() would pick
+        piv, big = col, abs(m[col][col])
+        for r in range(col + 1, n):
+            mag = abs(m[r][col])
+            if mag > big:
+                piv, big = r, mag
+        if big < 1e-300:
             return None
         m[col], m[piv] = m[piv], m[col]
         inv = 1.0 / m[col][col]
@@ -471,8 +497,11 @@ def _solve_linear(a, b):
                     m[r][c] -= fac * m[col][c]
     x = [0.0] * n
     for r in range(n - 1, -1, -1):
-        acc = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
-        x[r] = acc / m[r][r]
+        row = m[r]
+        acc = 0  # start from 0 as sum() does, so a lone -0.0 term adds as +0.0
+        for c in range(r + 1, n):
+            acc += row[c] * x[c]
+        x[r] = (row[n] - acc) / row[r]
     return x
 
 
@@ -482,49 +511,61 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     Returns ("ok", (boundaries, levels, saturated)), ("corner", k) when the
     k-th active group's interval collapses (signalling it should be empty),
     or ("fail", None) when the robust path should take over.
+
+    Up to four attempts run, in this order, each only if the ones before
+    it failed: unpinned from the capacity seed, unpinned from the default
+    start, then with the top cutoff pinned at the support end (a saturated
+    market) from the capacity seed and from the default start.  An unpinned
+    solution whose top cutoff lies beyond the support end also moves on to
+    the pinned attempts.
     """
     v = scenario.v
     dist = scenario.dist
     model = scenario.model
+    value_capped = model._value_capped
+    slope = model._slope
     theta_bar = dist.support_end
     prices = [g.price for g in act_groups]
     caps = [g.caps[0] for g in act_groups]
     n = len(act_groups)
     min_q = model.min_usage()
+    slope_at = min_q + _SLOPE_FLOOR
+    latency = model.kind in ("latency", "general_latency")
 
-    def residual_jacobian(x, pinned):
-        """Residuals and Jacobian at cutoff vector x; row 0 dropped if pinned."""
-        xs = list(x) + [0.0]
+    def residual(x, pinned):
+        """Residuals, levels and usages at cutoff vector x (row 0 dropped if
+        pinned), or None where a latency class is loaded past capacity."""
         cum = [dist.cdf(t) for t in x] + [0.0]  # F(0) = 0
         qs = [cum[i] - cum[i + 1] for i in range(n)]
-        if model.kind in ("latency", "general_latency"):
+        if latency:
             for q, c in zip(qs, caps):
                 if q >= c:
-                    return None, None, None, None
-        ks = [model._value_capped(q, c) for q, c in zip(qs, caps)]
-        sl = [model._slope(max(q, min_q + 1e-13), c) for q, c in zip(qs, caps)]
-        fs = [dist.density(t) for t in xs]
-        rows = [] if pinned else [0]
-        rows += list(range(1, n))
-        res = []
+                    return None
+        ks = [value_capped(q, c) for q, c in zip(qs, caps)]
+        res = [] if pinned else [v - prices[0] - x[0] * ks[0]]
+        for i in range(1, n):
+            res.append((prices[i - 1] - prices[i]) - x[i] * (ks[i] - ks[i - 1]))
+        return res, ks, qs
+
+    def jacobian(x, ks, qs, pinned):
+        """Jacobian of ``residual`` at x, given its levels and usages."""
+        sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
+        fs = [dist.density(t) for t in x]
+        rows = range(1, n) if pinned else range(n)
         jac = []
         for i in rows:
-            if i == 0:
-                res.append(v - prices[0] - xs[0] * ks[0])
-            else:
-                res.append((prices[i - 1] - prices[i]) - xs[i] * (ks[i] - ks[i - 1]))
             row = [0.0] * n
             if i == 0:
-                row[0] = -ks[0] - xs[0] * sl[0] * fs[0]
+                row[0] = -ks[0] - x[0] * sl[0] * fs[0]
                 if n > 1:
-                    row[1] = xs[0] * sl[0] * fs[1]
+                    row[1] = x[0] * sl[0] * fs[1]
             else:
-                row[i - 1] = xs[i] * sl[i - 1] * fs[i - 1]
-                row[i] = -(ks[i] - ks[i - 1]) - xs[i] * (sl[i] + sl[i - 1]) * fs[i]
+                row[i - 1] = x[i] * sl[i - 1] * fs[i - 1]
+                row[i] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
                 if i + 1 < n:
-                    row[i + 1] = xs[i] * sl[i] * fs[i + 1]
-            jac.append([row[j] for j in rows] if pinned else row)
-        return res, jac, ks, qs
+                    row[i + 1] = x[i] * sl[i] * fs[i + 1]
+            jac.append(row[1:] if pinned else row)
+        return jac
 
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
@@ -547,25 +588,26 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         """Newton iterate; returns (cutoffs, levels, usages) or None."""
         if pinned and n == 1:
             q0 = dist.cdf(theta_bar)
-            return [theta_bar], [model._value_capped(q0, caps[0])], [q0]
+            return [theta_bar], [value_capped(q0, caps[0])], [q0]
         x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
         if pinned:
             x[0] = theta_bar
         top_cap = theta_bar * (3.0 if not pinned else 1.0)
-        for _ in range(32):
-            res, jac, _ks, _qs = residual_jacobian(x, pinned)
-            if res is None:
+        off = 1 if pinned else 0
+        for _ in range(_NEWTON_ITERATIONS):
+            got = residual(x, pinned)
+            if got is None:
                 return None
-            if max(abs(r) for r in res) < 1e-12:
-                break
-            step = _solve_linear(jac, [-r for r in res])
+            res, ks, qs = got
+            if max(abs(r) for r in res) < _NEWTON_CONVERGED:
+                return x, ks, qs
+            step = _solve_linear(jacobian(x, ks, qs, pinned), [-r for r in res])
             if step is None:
                 return None
             lam = 1.0
             base = list(x)
-            for _damp in range(12):
+            for _damp in range(_NEWTON_HALVINGS):
                 trial = list(base)
-                off = 1 if pinned else 0
                 for k, s in enumerate(step):
                     trial[k + off] = base[k + off] + lam * s
                 ok = all(
@@ -577,14 +619,10 @@ def _newton_chain(scenario: MarketScenario, act_groups):
                 lam *= 0.5
             else:
                 return None
-        else:
-            return None
-        res, _jac, ks, qs = residual_jacobian(x, pinned)
-        if res is None or max(abs(r) for r in res) > 1e-10:
-            return None
-        return x, ks, qs
+        return None
 
-    out = run(pinned=False, seed=capacity_seed())
+    seed = capacity_seed()
+    out = run(pinned=False, seed=seed)
     if out is None:
         out = run(pinned=False)
     saturated = False
@@ -592,7 +630,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         out = None
         saturated = True
     if out is None:
-        got = run(pinned=True, seed=capacity_seed())
+        got = run(pinned=True, seed=seed)
         if got is None:
             got = run(pinned=True)
         if got is None:
@@ -609,7 +647,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     # collapsed interval -> that group should be empty
     xs = list(x) + [0.0]
     for i in range(n):
-        if xs[i] - xs[i + 1] <= 1e-10:
+        if xs[i] - xs[i + 1] <= _NEWTON_COLLAPSE:
             return ("corner", i)
     if any(q < min_q - 1e-12 for q in qs):
         return ("fail", None)
@@ -634,25 +672,41 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
     act = [groups[gi] for gi in active]
     n = len(act)
     prices = [g.price for g in act]
+    level_of = [g.level_function(model) for g in act]
 
     def resolve(j, top, f_top):
-        """Solve groups j.. below boundary ``top``, where F(top) = f_top."""
+        """Solve groups j.. below boundary ``top``, where F(top) = f_top.
+
+        Returns (boundaries, levels) of groups j.., or the original-list
+        position of a group that must be empty.  The deepest bisecting
+        frame (j = n - 2) computes the last group's level itself, so only
+        a single-group chain reaches the j = n - 1 case.
+        """
         if j == n - 1:
-            return [], [act[j].level(model, f_top)]
+            return [], [level_of[j](f_top)]
+        level_j, level_next = level_of[j], level_of[j + 1]
         dp = prices[j] - prices[j + 1]
+        last = j == n - 2
         # boundary -> resid result: brentq re-evaluates the bracket ends the
         # bisection has just solved, and the final pass re-evaluates the root
         seen = {}
 
         def resid(b):
+            # (residual, solution below b, level of group j), where the
+            # solution below is just the last group's level in the deepest
+            # frame; or (None, position of a group that must be empty, None)
             if b not in seen:
                 f_b = F(b)
-                sub = resolve(j + 1, b, f_b)
-                if isinstance(sub, int):
-                    seen[b] = None, sub, None
+                if last:
+                    sub = k_next = level_next(f_b)
                 else:
-                    kj = act[j].level(model, f_top - f_b)
-                    seen[b] = b * (sub[1][0] - kj) - dp, sub, kj
+                    sub = resolve(j + 1, b, f_b)
+                    if isinstance(sub, int):
+                        seen[b] = None, sub, None
+                        return seen[b]
+                    k_next = sub[1][0]
+                kj = level_j(f_top - f_b)
+                seen[b] = b * (k_next - kj) - dp, sub, kj
             return seen[b]
 
         r_top, sub_top, _ = resid(top)
@@ -675,7 +729,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
             # feasible bracket isolated: hand it to a superlinear root finder
             hi = brentq(
                 lambda b: (lambda rv: rv if rv is not None else -1.0)(resid(b)[0]),
-                lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=120,
+                lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
             )
         else:
             for _ in range(56):
@@ -697,6 +751,8 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         r_fin, sub_fin, k_fin = resid(hi)
         if r_fin is None:
             return sub_fin
+        if last:
+            return [hi], [k_fin, sub_fin]
         return [hi] + sub_fin[0], [k_fin] + sub_fin[1]
 
     top_seen = {}  # top cutoff -> top_gap result, for the same re-evaluations
@@ -730,7 +786,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
     if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > _THETA_TOL:
         hi = brentq(
             lambda t: (lambda gv: gv if gv is not None else 1.0)(top_gap(t)[0]),
-            lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=120,
+            lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
         )
     else:
         for _ in range(76):

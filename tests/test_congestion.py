@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,3 +266,125 @@ def test_loss_scale_invariant(q, c, a):
     m = cg.loss(3)
     usage = q * c
     assert m.evaluate(a * usage, a * c) == pytest.approx(m.evaluate(usage, c), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-kind kernels against the dispatching reference
+# ---------------------------------------------------------------------------
+
+def _ref_value(model, q, c):
+    kind = model.kind
+    if kind == "utilization":
+        return q / c
+    if kind == "utilization_default":
+        return (q - model.eps_default) / c
+    if kind == "latency":
+        return 1.0 / (c - q)
+    if kind == "general_latency":
+        return q * (1.0 + model.delta2) / (2.0 * c * (c - q)) + 1.0 / c
+    if kind == "loss":
+        rho = q / c
+        powers = 1.0
+        acc = 1.0
+        for _ in range(model.kappa):
+            powers *= rho
+            acc += powers
+        return powers / acc
+    return (model.eps * q / c) ** c
+
+
+def _ref_value_capped(model, q, c):
+    if model.kind in ("latency", "general_latency") and q >= c:
+        return 1e12 * (1.0 + q - c)
+    if model.kind == "utilization_default" and q < model.eps_default:
+        return 0.0
+    if q <= 0.0:
+        q = 0.0
+    return _ref_value(model, q, c)
+
+
+def _ref_slope(model, q, c):
+    kind = model.kind
+    if kind in ("utilization", "utilization_default"):
+        return 1.0 / c
+    if kind == "latency":
+        return 1.0 / ((c - q) ** 2)
+    if kind == "general_latency":
+        return (1.0 + model.delta2) / (2.0 * (c - q) ** 2)
+    if kind == "loss":
+        rho = q / c
+        powers = [1.0]
+        for _ in range(model.kappa):
+            powers.append(powers[-1] * rho)
+        s = sum(powers)
+        sprime = sum(j * powers[j - 1] for j in range(1, model.kappa + 1))
+        grho = (model.kappa * powers[model.kappa - 1] * s - powers[model.kappa] * sprime) / (s * s)
+        return grho / c
+    base = model.eps * q / c
+    if base == 0.0:
+        return 0.0 if c > 1.0 else (model.eps if c == 1.0 else float("inf"))
+    return model.eps * (base ** (c - 1.0))
+
+
+def _outcome(fn, model, q, c):
+    """Exact result of ``fn(model, q, c)``: float.hex tells -0.0 from 0.0,
+    and the type and any arithmetic error must match too."""
+    try:
+        x = fn(model, q, c)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    return type(x).__name__, float.hex(x) if type(x) is float else repr(x)
+
+
+_kernel_models = st.one_of(
+    st.sampled_from(["utilization", "latency"]).map(cg.CongestionModel),
+    st.floats(0.0, 3.0).map(cg.general_latency),
+    st.integers(1, 6).map(cg.loss),
+    st.floats(1e-3, 1.0).map(cg.outage),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.5)).map(cg.utilization_default),
+)
+
+
+@st.composite
+def _kernel_cases(draw):
+    model = draw(_kernel_models)
+    c = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 3.0)))
+    eps_d = model.eps_default
+    q = draw(st.one_of(
+        st.sampled_from([0.0, -0.0, -1e-9, -0.5, c, eps_d, 0.5 * eps_d, eps_d + 1e-12]),
+        st.floats(-0.5, 2.0).map(lambda a: a * c),  # below, inside and past capacity
+        st.floats(-1.0, 3.0),
+    ))
+    return model, q, c
+
+
+_KERNELS = (
+    ("_value", _ref_value),
+    ("_value_capped", _ref_value_capped),
+    ("_slope", _ref_slope),
+)
+
+
+def _check_kernels(model, q, c):
+    for name, ref in _KERNELS:
+        got = _outcome(lambda m, q, c: getattr(m, name)(q, c), model, q, c)
+        assert got == _outcome(ref, model, q, c), name
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_kernel_cases())
+def test_kernels_match_dispatching_reference(case):
+    _check_kernels(*case)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("q", [0.0, -0.0])
+def test_outage_kernels_at_zero_base(q, c):
+    _check_kernels(cg.outage(0.5), q, c)
+
+
+def test_kernels_survive_copy_and_pickle():
+    for model in ALL_MODELS:
+        for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert twin == model
+            _check_kernels(twin, 0.3, 0.8)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pmplab import congestion as cg
 from pmplab import equilibrium as eqm
@@ -322,7 +322,7 @@ def test_identical_price_levels_match():
 
 def _ref_group_level(model, caps, q):
     """Plain 80-step bisection over the public usage_at_level, which
-    _Group.level must reproduce bit for bit."""
+    _Group.level_function must reproduce bit for bit."""
     def usage_at(lev):
         return sum(model.usage_at_level(lev, c) for c in caps)
 
@@ -374,12 +374,13 @@ _INVERTED_KINDS = st.sampled_from(
 def test_tie_group_level_matches_bisection_reference(model, caps, frac):
     group = eqm._Group(1.0, list(caps), list(range(len(caps))))
     q = frac * sum(caps) if model.kind != "outage" else 3.0 * frac
-    assert group.level(model, q) == _ref_group_level(model, caps, q)
-    assert group.split(model, q, group.level(model, q)) == _ref_group_split(model, caps, q)
+    level = group.level_function(model)(q)
+    assert level == _ref_group_level(model, caps, q)
+    assert group.split(model, q, level) == _ref_group_split(model, caps, q)
     if model.kind == "latency" and q < sum(caps):
         pooled = len(caps) / (sum(caps) - q)
         if pooled > 1.0 / min(caps) * (1.0 + 1e-9):  # every member serves
-            assert group.level(model, q) == pytest.approx(pooled, rel=1e-12, abs=0.0)
+            assert level == pytest.approx(pooled, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -487,3 +488,276 @@ def test_fallback_solves_keep_exact_bits(name, monkeypatch):
     got = tuple(tuple(float.hex(x) for x in getattr(eq, field))
                 for field in ("cutoffs", "prices", "usages", "levels"))
     assert got == _FALLBACK_BITS[name]
+
+
+# ---------------------------------------------------------------------------
+# exact bits of Newton-path solves
+# ---------------------------------------------------------------------------
+
+# Distinct-price markets the damped Newton path solves on its own: every
+# kind, uniform and 5-point tabulated types, 2 and 3 classes, saturated
+# ("_sat") and not.  Prices are rounded from the forward map of chosen
+# cutoffs; a saturated case lowers the top price below its boundary value.
+_TAB5 = tabulated([(0.0, 0.0), (0.25, 0.15), (0.5, 0.45), (0.75, 0.8), (1.0, 1.0)])
+
+_NEWTON_CASES = {
+    "general_latency_tab2_sat": (cg.general_latency(0.5), _TAB5, (1.0, 0.8), 6.0, (4.288, 3.593)),
+    "general_latency_tab3": (
+        cg.general_latency(0.5), _TAB5, (1.0, 0.6, 0.5), 6.0, (4.89, 3.816, 3.583)),
+    "general_latency_uniform2": (
+        cg.general_latency(0.5), uniform(), (1.0, 0.8), 6.0, (4.877, 4.404)),
+    "general_latency_uniform3_sat": (
+        cg.general_latency(0.5), uniform(), (1.0, 0.6, 0.5), 6.0, (4.52, 3.526, 3.18)),
+    "latency_tab2_sat": (cg.latency(), _TAB5, (1.0, 0.8), 6.0, (4.057, 3.17)),
+    "latency_tab3": (cg.latency(), _TAB5, (1.0, 0.6, 0.5), 6.0, (4.803, 3.505, 3.233)),
+    "latency_uniform2": (cg.latency(), uniform(), (1.0, 0.8), 6.0, (4.769, 4.176)),
+    "latency_uniform3_sat": (cg.latency(), uniform(), (1.0, 0.6, 0.5), 6.0, (4.367, 3.173, 2.744)),
+    "loss_tab2_sat": (cg.loss(2), _TAB5, (1.0, 0.8), 2.0, (1.845, 1.827)),
+    "loss_tab3": (cg.loss(2), _TAB5, (1.0, 0.6, 0.5), 2.0, (1.948, 1.891, 1.89)),
+    "loss_uniform2": (cg.loss(2), uniform(), (1.0, 0.8), 2.0, (1.933, 1.895)),
+    "loss_uniform3_sat": (cg.loss(2), uniform(), (1.0, 0.6, 0.5), 2.0, (1.885, 1.867, 1.859)),
+    "outage_tab2_sat": (cg.outage(0.5), _TAB5, (1.0, 0.8), 2.0, (1.74, 1.668)),
+    "outage_tab3": (cg.outage(0.5), _TAB5, (1.0, 0.6, 0.5), 2.0, (1.877, 1.692, 1.669)),
+    "outage_uniform2": (cg.outage(0.5), uniform(), (1.0, 0.8), 2.0, (1.86, 1.776)),
+    "outage_uniform3_sat": (cg.outage(0.5), uniform(), (1.0, 0.6, 0.5), 2.0, (1.79, 1.647, 1.619)),
+    "utilization_default_tab2_sat": (
+        cg.utilization_default(0.1), _TAB5, (1.0, 0.8), 2.0, (1.6, 1.54)),
+    "utilization_default_tab3": (
+        cg.utilization_default(0.1), _TAB5, (1.0, 0.6, 0.5), 2.0, (1.898, 1.792, 1.658)),
+    "utilization_default_uniform2": (
+        cg.utilization_default(0.1), uniform(), (1.0, 0.8), 2.0, (1.8, 1.716)),
+    "utilization_default_uniform3_sat": (
+        cg.utilization_default(0.1), uniform(), (1.0, 0.6, 0.5), 2.0, (1.7, 1.666, 1.656)),
+    "utilization_tab2_sat": (cg.utilization(), _TAB5, (1.0, 0.8), 2.0, (1.5, 1.426)),
+    "utilization_tab3": (cg.utilization(), _TAB5, (1.0, 0.6, 0.5), 2.0, (1.754, 1.608, 1.605)),
+    "utilization_uniform2": (cg.utilization(), uniform(), (1.0, 0.8), 2.0, (1.72, 1.624)),
+    "utilization_uniform3_sat": (
+        cg.utilization(), uniform(), (1.0, 0.6, 0.5), 2.0, (1.6, 1.525, 1.505)),
+}
+
+_NEWTON_BITS = {
+    'general_latency_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.18ad3f86f962dp-1'),
+        ('0x1.126e978d4fdf4p+2', '0x1.cbe76c8b43958p+1'),
+        ('0x1.ee1ae7b945b82p-2', '0x1.08f28c235d23fp-1'),
+        ('0x1.b308357607d41p+0', '0x1.7bcb24a50d7aep+1'),
+    ),
+    'general_latency_tab3': (
+        ('0x1.b324c3cba83f5p-1', '0x1.333cfb616a34ep-1', '0x1.666fbc21d3be2p-2'),
+        ('0x1.38f5c28f5c28fp+2', '0x1.e872b020c49bap+1', '0x1.ca9fbe76c8b44p+1'),
+        ('0x1.28c3463517048p-2', '0x1.47be4481c4e32p-2', '0x1.148614f5647dcp-2'),
+        ('0x1.4e59655bae31cp+0', '0x1.8c441f87b081cp+1', '0x1.e17807998518dp+1'),
+    ),
+    'general_latency_uniform2': (
+        ('0x1.9992ddd100b46p-1', '0x1.ccc0383f8e7acp-2'),
+        ('0x1.3820c49ba5e35p+2', '0x1.19db22d0e5604p+2'),
+        ('0x1.6665836272ee0p-2', '0x1.ccc0383f8e7acp-2'),
+        ('0x1.676211686a92ap+0', '0x1.3a3f84338d018p+1'),
+    ),
+    'general_latency_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.3bf29a879a546p-1', '0x1.3244d97a41f9dp-2'),
+        ('0x1.2147ae147ae14p+2', '0x1.c353f7ced9168p+1', '0x1.970a3d70a3d71p+1'),
+        ('0x1.881acaf0cb574p-2', '0x1.45a05b94f2aefp-2', '0x1.3244d97a41f9dp-2'),
+        ('0x1.7723dfb6f63a9p+0', '0x1.89c09425f6010p+1', '0x1.0ee9f275d1df6p+2'),
+    ),
+    'latency_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.18e51dde7faa2p-1'),
+        ('0x1.03a5e353f7ceep+2', '0x1.95c28f5c28f5cp+1'),
+        ('0x1.ed7e792a9a8a0p-2', '0x1.0940c36ab2bb0p-1'),
+        ('0x1.ee23bc3f88268p+0', '0x1.c6045a0b13025p+1'),
+    ),
+    'latency_tab3': (
+        ('0x1.b32e382866daep-1', '0x1.33378cbae1cd4p-1', '0x1.666f1f201c626p-2'),
+        ('0x1.33645a1cac083p+2', '0x1.c0a3d70a3d70ap+1', '0x1.9dd2f1a9fbe77p+1'),
+        ('0x1.28e19c9bc5ec6p-2', '0x1.47afcb17efc8ap-2', '0x1.1485588ceedc8p-2'),
+        ('0x1.68863bf7849b1p+0', '0x1.c9274d9f3dc27p+1', '0x1.164f26631bd24p+2'),
+    ),
+    'latency_uniform2': (
+        ('0x1.999dfb77ed81dp-1', '0x1.ccbcbddf348c0p-2'),
+        ('0x1.31374bc6a7efap+2', '0x1.0b4395810624ep+2'),
+        ('0x1.667f3910a677ap-2', '0x1.ccbcbddf348c0p-2'),
+        ('0x1.89e74e3e3f000p+0', '0x1.6da679568943cp+1'),
+    ),
+    'latency_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.3c4f0e228dcebp-1', '0x1.328eb5eb898f8p-2'),
+        ('0x1.177ced916872bp+2', '0x1.9624dd2f1a9fcp+1', '0x1.5f3b645a1cac1p+1'),
+        ('0x1.8761e3bae462ap-2', '0x1.460f6659920dep-2', '0x1.328eb5eb898f8p-2'),
+        ('0x1.9e613e78481c2p+0', '0x1.c6931febe28f9p+1', '0x1.3effca07f9254p+2'),
+    ),
+    'loss_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.0baedf6b5bfe4p-1'),
+        ('0x1.d851eb851eb85p+0', '0x1.d3b645a1cac08p+0'),
+        ('0x1.093e60d018cf4p-1', '0x1.ed833e5fce618p-2'),
+        ('0x1.33acf5b9c0877p-3', '0x1.7a2f8d2150a41p-3'),
+    ),
+    'loss_tab3': (
+        ('0x1.b2f180fff9971p-1', '0x1.330b4c72ba889p-1', '0x1.664f506f73fd1p-2'),
+        ('0x1.f2b020c49ba5ep+0', '0x1.e4189374bc6a8p+0', '0x1.e3d70a3d70a3dp+0'),
+        ('0x1.28fc5ebeb8402p-2', '0x1.475a0f21e581fp-2', '0x1.145f2d528b2fbp-2'),
+        ('0x1.f5740e1a2d9f5p-5', '0x1.4005a84ffb4f4p-3', '0x1.45e0000c7d662p-3'),
+    ),
+    'loss_uniform2': (
+        ('0x1.9a05dd15090c5p-1', '0x1.cc5f8123635bep-2'),
+        ('0x1.eed916872b021p+0', '0x1.e51eb851eb852p+0'),
+        ('0x1.67ac3906aebccp-2', '0x1.cc5f8123635bep-2'),
+        ('0x1.56afa9aa265b2p-4', '0x1.5872190e17ccbp-3'),
+    ),
+    'loss_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.2933f8ffb4ca1p-1', '0x1.2185d0ef87dd6p-2'),
+        ('0x1.e28f5c28f5c29p+0', '0x1.ddf3b645a1cacp+0', '0x1.dbe76c8b43958p+0'),
+        ('0x1.ad980e00966bep-2', '0x1.30e2210fe1b6cp-2', '0x1.2185d0ef87dd6p-2'),
+        ('0x1.c3d3bb1a8ac35p-4', '0x1.216b915ab6956p-3', '0x1.5b5e36f284f08p-3'),
+    ),
+    'outage_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.0f83c0cb27f3ap-1'),
+        ('0x1.bd70a3d70a3d7p+0', '0x1.ab020c49ba5e3p+0'),
+        ('0x1.03e12549fb448p-1', '0x1.f83db56c09770p-2'),
+        ('0x1.03e12549fb448p-2', '0x1.8ee8e01996f35p-2'),
+    ),
+    'outage_tab3': (
+        ('0x1.b2f4d557fedfbp-1', '0x1.3337753b99114p-1', '0x1.65cad18d5dee7p-2'),
+        ('0x1.e083126e978d5p+0', '0x1.b126e978d4fdfp+0', '0x1.ab4395810624ep+0'),
+        ('0x1.28860d191e68ep-2', '0x1.4874b3306f123p-2', '0x1.13c02ea9a3eafp-2'),
+        ('0x1.28860d191e68ep-3', '0x1.cffa620813e03p-2', '0x1.09b11feed64ccp-1'),
+    ),
+    'outage_uniform2': (
+        ('0x1.995d0f366607ep-1', '0x1.cc1eb71a0d853p-2'),
+        ('0x1.dc28f5c28f5c3p+0', '0x1.c6a7ef9db22d1p+0'),
+        ('0x1.669b6752be8a9p-2', '0x1.cc1eb71a0d853p-2'),
+        ('0x1.669b6752be8a9p-3', '0x1.72bb91710f8acp-2'),
+    ),
+    'outage_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.3175c5c6e928ap-1', '0x1.287e6b109cc4fp-2'),
+        ('0x1.ca3d70a3d70a4p+0', '0x1.a5a1cac083127p+0', '0x1.9e76c8b439581p+0'),
+        ('0x1.9d1474722daecp-2', '0x1.3a6d207d358c5p-2', '0x1.287e6b109cc4fp-2'),
+        ('0x1.9d1474722daecp-3', '0x1.c3fbc388a6abdp-2', '0x1.138101e301d9ap-1'),
+    ),
+    'utilization_default_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.141d9496b8a5dp-1'),
+        ('0x1.999999999999ap+0', '0x1.8a3d70a3d70a4p+0'),
+        ('0x1.fae05ff394962p-2', '0x1.028fd00635b4fp-1'),
+        ('0x1.9479f98d2e2fcp-2', '0x1.0333c407c3223p-1'),
+    ),
+    'utilization_default_tab3': (
+        ('0x1.b34638d5abd1bp-1', '0x1.4cd9966b8e629p-1', '0x1.cd12237ecee4dp-2'),
+        ('0x1.e5e353f7ced91p+0', '0x1.cac083126e979p+0', '0x1.a872b020c49bap+0'),
+        ('0x1.c2849eb7d5440p-3', '0x1.144b7a94fcce2p-2', '0x1.8faf5dcb5eac4p-2'),
+        ('0x1.eb6fa3d610ee6p-4', '0x1.21d321a2faacep-2', '0x1.2948f764f845ep-1'),
+    ),
+    'utilization_default_uniform2': (
+        ('0x1.996de1d657126p-1', '0x1.cc5a078159a3bp-2'),
+        ('0x1.ccccccccccccdp+0', '0x1.b74bc6a7ef9dbp+0'),
+        ('0x1.6681bc2b54811p-2', '0x1.cc5a078159a3bp-2'),
+        ('0x1.001b55c4ee1aap-2', '0x1.bf708961b00c9p-2'),
+    ),
+    'utilization_default_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.35621b98b3d4fp-1', '0x1.2c1895b87fb65p-2'),
+        ('0x1.b333333333333p+0', '0x1.aa7ef9db22d0ep+0', '0x1.a7ef9db22d0e5p+0'),
+        ('0x1.953bc8ce98562p-2', '0x1.3eaba178e7f39p-2', '0x1.2c1895b87fb65p-2'),
+        ('0x1.2ed5626831efcp-2', '0x1.687362742d40ap-2', '0x1.8b645ea4329fdp-2'),
+    ),
+    'utilization_tab2_sat': (
+        ('0x1.0000000000000p+0', '0x1.14428c3a70a5ap-1'),
+        ('0x1.8000000000000p+0', '0x1.6d0e560418937p+0'),
+        ('0x1.fa78ddc2c496ap-2', '0x1.02c3911e9db4bp-1'),
+        ('0x1.fa78ddc2c496ap-2', '0x1.437475664521dp-1'),
+    ),
+    'utilization_tab3': (
+        ('0x1.b311ec63b05a6p-1', '0x1.334f29636dad8p-1', '0x1.66f4bf5cf188ep-2'),
+        ('0x1.c10624dd2f1aap+0', '0x1.9ba5e353f7ceep+0', '0x1.9ae147ae147aep+0'),
+        ('0x1.287239891a448p-2', '0x1.47518e4077a7ep-2', '0x1.1525b26f883dep-2'),
+        ('0x1.287239891a448p-2', '0x1.10c3f68b0e614p-1', '0x1.1525b26f883dep-1'),
+    ),
+    'utilization_uniform2': (
+        ('0x1.99bf12b0bdf4cp-1', '0x1.cd3885efabdacp-2'),
+        ('0x1.b851eb851eb85p+0', '0x1.9fbe76c8b4396p+0'),
+        ('0x1.66459f71d00ecp-2', '0x1.cd3885efabdacp-2'),
+        ('0x1.66459f71d00ecp-2', '0x1.204353b5cb68bp-1'),
+    ),
+    'utilization_uniform3_sat': (
+        ('0x1.0000000000000p+0', '0x1.35be7964c16f4p-1', '0x1.2c9c9943200e3p-2'),
+        ('0x1.999999999999ap+0', '0x1.8666666666666p+0', '0x1.8147ae147ae14p+0'),
+        ('0x1.94830d367d218p-2', '0x1.3ee0598662d05p-2', '0x1.2c9c9943200e3p-2'),
+        ('0x1.94830d367d218p-2', '0x1.09baf54552584p-1', '0x1.2c9c9943200e3p-1'),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NEWTON_CASES))
+def test_newton_solves_keep_exact_bits(name, monkeypatch):
+    def no_fallback(*args):
+        raise AssertionError("the nested bisection ran")
+
+    monkeypatch.setattr(eqm, "_solve_active_bisect", no_fallback)
+    model, dist, caps, v, prices = _NEWTON_CASES[name]
+    eq = eqm.cutoffs_from_prices(eqm.MarketScenario(v, caps, model, dist), prices)
+    assert eq.saturated == name.endswith("_sat")
+    got = tuple(tuple(float.hex(x) for x in getattr(eq, field))
+                for field in ("cutoffs", "prices", "usages", "levels"))
+    assert got == _NEWTON_BITS[name]
+
+# ---------------------------------------------------------------------------
+# Newton's linear solve against the max()/sum() reference
+# ---------------------------------------------------------------------------
+
+def _ref_solve_linear(a, b):
+    n = len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if abs(m[piv][col]) < 1e-300:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1.0 / m[col][col]
+        for r in range(col + 1, n):
+            fac = m[r][col] * inv
+            if fac != 0.0:
+                for c in range(col, n + 1):
+                    m[r][c] -= fac * m[col][c]
+    x = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        acc = m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))
+        x[r] = acc / m[r][r]
+    return x
+
+
+def _hex_or_none(x):
+    return None if x is None else [float.hex(v) for v in x]
+
+
+# powers of two keep elimination exact, so ties and exact zeros survive it
+_exact_entries = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 4.0])
+_entries = st.one_of(_exact_entries, st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _linear_systems(draw):
+    n = draw(st.integers(1, 3))
+    exact = draw(st.booleans())
+    entry = _exact_entries if exact else _entries
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    b = [draw(entry) for _ in range(n)]
+    singular = draw(st.sampled_from([None, "zero_column", "zero_row", "repeated_row"]))
+    if singular == "zero_column":
+        k = draw(st.integers(0, n - 1))
+        for row in a:
+            row[k] = draw(st.sampled_from([0.0, -0.0]))
+    elif singular == "zero_row":
+        a[draw(st.integers(0, n - 1))] = [0.0] * n
+    elif singular == "repeated_row" and n == 2 and exact:
+        a[1] = list(a[0])
+    else:
+        singular = None
+    return a, b, singular
+
+
+@settings(max_examples=800, deadline=None)
+@given(system=_linear_systems())
+@example(system=([[1.0, 3.0], [-1.0, 1.0]], [-0.0, 2.0], None))  # |1| and |-1| tie
+def test_solve_linear_matches_reference_bits(system):
+    a, b, singular = system
+    got = eqm._solve_linear([row[:] for row in a], list(b))
+    assert _hex_or_none(got) == _hex_or_none(_ref_solve_linear(a, b))
+    if singular is not None:
+        assert got is None
+
