@@ -161,18 +161,13 @@ def _cmd_partition(sf: ScenarioFile, args) -> int:
     n = args.grid or sf.p_grid
     prices = [sf.v * k / n for k in range(n + 1)]
 
-    def work(p):
-        try:
-            return partition_comparison(scenario, p, split)
-        except PmplabError as exc:
-            return exc
-
     rows, failures = [], 0
     for p in prices:
-        res = work(p)
-        if isinstance(res, Exception):
+        try:
+            res = partition_comparison(scenario, p, split)
+        except PmplabError as exc:
             failures += 1
-            print(f"p={p:.9g}: {res}", file=sys.stderr)
+            print(f"p={p:.9g}: {exc}", file=sys.stderr)
             continue
         rows.append((res.price, res.single_welfare, res.single_profit,
                      res.split_welfare, res.split_profit))
@@ -193,18 +188,13 @@ def _cmd_probe(sf: ScenarioFile, args) -> int:
     n = args.grid or 20
     prices = [sf.v * k / n for k in range(1, n)]
 
-    def work(p):
-        try:
-            return local_improvement_probe(scenario, p, sf.delta)
-        except PmplabError as exc:
-            return exc
-
     rows, failures = [], 0
     for p in prices:
-        res = work(p)
-        if isinstance(res, Exception):
+        try:
+            res = local_improvement_probe(scenario, p, sf.delta)
+        except PmplabError as exc:
             failures += 1
-            print(f"p={p:.9g}: {res}", file=sys.stderr)
+            print(f"p={p:.9g}: {exc}", file=sys.stderr)
             continue
         rows.append((p, res.direction * res.delta, res.d_welfare, res.d_profit, res.case))
     if failures > 0.1 * len(prices):
@@ -262,9 +252,13 @@ def _build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--out", default=".", help="output directory for CSV files")
-        p.add_argument("--objective", choices=("welfare", "profit"), default="profit")
-        p.add_argument("--grid", type=int, default=None, help="grid resolution override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        # each command takes only the flags it reads
+        if name == "sweep":
+            p.add_argument("--objective", choices=("welfare", "profit"), default="profit")
+        if name == "classify":
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        else:
+            p.add_argument("--grid", type=int, default=None, help="grid resolution override")
     return parser
 
 
@@ -288,7 +282,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         if args.tol <= 0:
             print("tolerance must be positive", file=sys.stderr)
             return EXIT_INPUT

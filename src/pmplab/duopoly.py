@@ -253,7 +253,6 @@ def _closed_form_derivative(duo, p_i, strat_ii, case):
     if eq.saturated or eq.degenerate:
         return None, "inapplicable"
     model = duo.model
-    caps_sorted = []
     entries = [(p_i, duo.cap_i, "I")] + [(p, c, "II") for p, c in strat_ii.classes]
     entries.sort(key=lambda e: (-e[0], e[2]))
     caps_sorted = [c for _p, c, _o in entries]

@@ -173,11 +173,6 @@ class _Group:
     def floor_level(self, model: CongestionModel) -> float:
         return min(model.level_floor(c) for c in self.caps)
 
-    def max_usage(self, model: CongestionModel) -> float:
-        if model.kind in ("latency", "general_latency"):
-            return sum(self.caps)
-        return math.inf
-
     def level_function(self, model: CongestionModel):
         """Common congestion level as a function of the mass q the group
         as a whole serves.
@@ -202,7 +197,7 @@ class _Group:
             return lambda q: max(max(q, 0.0) - defaults, 0.0) / total
         if kind == "loss":
             return lambda q: value_capped(max(q, 0.0) / total, 1.0)
-        cap = self.max_usage(model)
+        cap = total if kind in ("latency", "general_latency") else math.inf
         floors = [model.level_floor(c) for c in self.caps]
         floor = min(floors)
         usage_at = _pooled_usage(model, self.caps, floors)
@@ -266,7 +261,15 @@ def _pooled_usage(model: CongestionModel, caps, floors):
     # outage, the remaining numerically inverted kind
     eps = model.eps
     roots = [(c, fl, 1.0 / c) for c, fl in members]
-    return lambda lev: sum([c * (lev ** r) / eps if lev > fl else 0.0 for c, fl, r in roots])
+
+    def usage_at(lev):
+        try:
+            return sum([c * (lev ** r) / eps if lev > fl else 0.0 for c, fl, r in roots])
+        except OverflowError:
+            # lev ** (1/c) of a small member passed the float range above
+            # lev = 1: its usage exceeds any mass the bracket can ask for
+            return math.inf
+    return usage_at
 
 
 def _group_by_price(prices, capacities):
@@ -283,6 +286,15 @@ def _group_by_price(prices, capacities):
 # ---------------------------------------------------------------------------
 # forward map: cutoffs -> prices
 # ---------------------------------------------------------------------------
+
+def _class_level(model: CongestionModel, q: float, c: float) -> float:
+    """Congestion level of one class serving mass q.  A class with (almost)
+    no users gets its empty-class level; roundoff may leave q slightly
+    below zero or the minimum usage, which ``evaluate`` would reject."""
+    if q <= 1e-15:
+        return model._value_capped(max(q, 0.0), c)
+    return model.evaluate(q, c)
+
 
 def prices_from_cutoffs(
     scenario: MarketScenario,
@@ -316,12 +328,7 @@ def prices_from_cutoffs(
     bounds = th + [0.0]
     cum = [scenario.dist.cdf(t) for t in th] + [0.0]  # F(0) = 0
     usages = [cum[i] - cum[i + 1] for i in range(m)]
-    levels = []
-    for q, c in zip(usages, scenario.capacities):
-        if q <= 1e-15:
-            levels.append(scenario.model._value_capped(max(q, 0.0), c))
-        else:
-            levels.append(scenario.model.evaluate(q, c))
+    levels = [_class_level(scenario.model, q, c) for q, c in zip(usages, scenario.capacities)]
 
     prices = [scenario.v - th[0] * levels[0]]
     for i in range(1, m):
@@ -431,46 +438,17 @@ def _solve_group_chain(scenario: MarketScenario, groups) -> _ChainSolution:
                 return sol
             break
 
-    candidates = list(active)
-    try:
-        while active:
-            result = _solve_active_bisect(scenario, groups, active)
-            if isinstance(result, int):
-                dropped.append(result)
-                active = [gi for gi in active if gi != result]
-                continue
-            boundaries, levels, saturated = result
-            sol = _ChainSolution(boundaries, levels, active, sorted(dropped), saturated)
-            _check_no_deviation(scenario, groups, sol)
-            return sol
-        return _ChainSolution([], [], [], sorted(dropped), False)
-    except NoEquilibriumError:
-        # the incremental shedding guessed wrong: try every ordered active
-        # subset and keep the first internally consistent one
-        return _solve_by_enumeration(scenario, groups, candidates)
-
-
-def _solve_by_enumeration(scenario: MarketScenario, groups, candidates):
-    from itertools import combinations
-
-    all_dropped = [gi for gi in range(len(groups)) if gi not in candidates]
-    for size in range(len(candidates), 0, -1):
-        for subset in combinations(candidates, size):
-            result = _solve_active_bisect(scenario, groups, list(subset))
-            if isinstance(result, int):
-                continue
-            boundaries, levels, saturated = result
-            dropped = sorted(all_dropped + [gi for gi in candidates if gi not in subset])
-            sol = _ChainSolution(boundaries, levels, list(subset), dropped, saturated)
-            try:
-                _check_no_deviation(scenario, groups, sol)
-            except NoEquilibriumError:
-                continue
-            return sol
-    raise NoEquilibriumError(
-        f"no consistent active set among classes priced "
-        f"{[groups[gi].price for gi in candidates]}"
-    )
+    while active:
+        result = _solve_active_bisect(scenario, groups, active)
+        if isinstance(result, int):
+            dropped.append(result)
+            active = [gi for gi in active if gi != result]
+            continue
+        boundaries, levels, saturated = result
+        sol = _ChainSolution(boundaries, levels, active, sorted(dropped), saturated)
+        _check_no_deviation(scenario, groups, sol)
+        return sol
+    return _ChainSolution([], [], [], sorted(dropped), False)
 
 
 # -- damped Newton ----------------------------------------------------------
@@ -656,6 +634,41 @@ def _newton_chain(scenario: MarketScenario, act_groups):
 
 # -- nested bisection -------------------------------------------------------
 
+def _bisect(rising, lo, hi, steps):
+    """Up to ``steps`` bisection steps on [lo, hi], stopping once the bracket
+    is narrower than ``_THETA_TOL``; returns (lo, hi, the value at lo, or
+    None if lo never moved)."""
+    r_lo = None
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        r_mid = rising(mid)
+        if r_mid is None or r_mid < 0.0:
+            lo, r_lo = mid, r_mid
+        else:
+            hi = mid
+        if hi - lo < _THETA_TOL:
+            break
+    return lo, hi, r_lo
+
+
+def _boundary_root(rising, top, more_steps):
+    """Bracket the root of ``rising`` on [0, top]; returns (lo, hi), hi the root.
+
+    ``rising(b)`` increases with b, or is None below a feasibility threshold,
+    which counts as negative.  24 bisection steps isolate the root.  When
+    the lower end is then feasible and negative, brentq finishes the
+    bracket; otherwise ``more_steps`` further bisection steps run.
+    """
+    lo, hi, r_lo = _bisect(rising, 0.0, top, 24)
+    if r_lo is not None and r_lo < 0.0 and hi - lo > _THETA_TOL:
+        # feasible bracket isolated: hand it to a superlinear root finder
+        return lo, brentq(
+            lambda b: (lambda r: r if r is not None else -1.0)(rising(b)),
+            lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
+        )
+    return _bisect(rising, lo, hi, more_steps)[:2]
+
+
 def _solve_active_bisect(scenario: MarketScenario, groups, active):
     """Robust chain solve for one candidate active set.
 
@@ -687,14 +700,14 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         level_j, level_next = level_of[j], level_of[j + 1]
         dp = prices[j] - prices[j + 1]
         last = j == n - 2
-        # boundary -> resid result: brentq re-evaluates the bracket ends the
-        # bisection has just solved, and the final pass re-evaluates the root
+        # boundary -> (residual, solution below it, level of group j), where
+        # the solution below is just the last group's level in the deepest
+        # frame, or (None, position of a group that must be empty, None).
+        # brentq re-evaluates the bracket ends the bisection has just
+        # solved, and the final pass re-evaluates the root.
         seen = {}
 
         def resid(b):
-            # (residual, solution below b, level of group j), where the
-            # solution below is just the last group's level in the deepest
-            # frame; or (None, position of a group that must be empty, None)
             if b not in seen:
                 f_b = F(b)
                 if last:
@@ -703,110 +716,62 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
                     sub = resolve(j + 1, b, f_b)
                     if isinstance(sub, int):
                         seen[b] = None, sub, None
-                        return seen[b]
+                        return None
                     k_next = sub[1][0]
                 kj = level_j(f_top - f_b)
                 seen[b] = b * (k_next - kj) - dp, sub, kj
-            return seen[b]
+            return seen[b][0]
 
-        r_top, sub_top, _ = resid(top)
+        r_top = resid(top)
         if r_top is None:
-            return sub_top
+            return seen[top][1]
         if r_top < 0.0:
             return active[j]
-        lo, hi = 0.0, top
-        r_lo_val = None
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            r_mid = resid(mid)[0]
-            if r_mid is None or r_mid < 0.0:
-                lo, r_lo_val = mid, r_mid
-            else:
-                hi = mid
-            if hi - lo < _THETA_TOL:
-                break
-        if r_lo_val is not None and r_lo_val < 0.0 and hi - lo > _THETA_TOL:
-            # feasible bracket isolated: hand it to a superlinear root finder
-            hi = brentq(
-                lambda b: (lambda rv: rv if rv is not None else -1.0)(resid(b)[0]),
-                lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
-            )
-        else:
-            for _ in range(56):
-                mid = 0.5 * (lo + hi)
-                r_mid = resid(mid)[0]
-                if r_mid is None or r_mid < 0.0:
-                    lo, r_lo_val = mid, r_mid
-                else:
-                    hi = mid
-                if hi - lo < _THETA_TOL:
-                    break
-            # a genuine root has a feasible negative residual just below it;
-            # a feasibility threshold (some deeper group losing its last
-            # user) makes the residual jump sign without crossing zero, and
-            # the deeper corner must be resolved globally instead
-            r_lo, sub_lo, _ = resid(lo)
-            if r_lo is None and lo > 0.0:
-                return sub_lo
-        r_fin, sub_fin, k_fin = resid(hi)
+        lo, hi = _boundary_root(resid, top, 56)
+        # a genuine root has a feasible negative residual just below it;
+        # a feasibility threshold (some deeper group losing its last user)
+        # makes the residual jump sign without crossing zero, and the
+        # deeper corner must be resolved globally instead.  After brentq
+        # the lower end is feasible by construction.
+        if resid(lo) is None and lo > 0.0:
+            return seen[lo][1]
+        resid(hi)
+        r_fin, sub_fin, k_fin = seen[hi]
         if r_fin is None:
             return sub_fin
         if last:
             return [hi], [k_fin, sub_fin]
         return [hi] + sub_fin[0], [k_fin] + sub_fin[1]
 
-    top_seen = {}  # top cutoff -> top_gap result, for the same re-evaluations
+    top_seen = {}  # top cutoff -> top_excess result, for the same re-evaluations
 
-    def top_gap(t1):
+    def top_excess(t1):
+        # minus the top cutoff's utility v - p1 - t1 * K1, so that it rises
+        # with t1; (None, position of a group that must be empty) if infeasible
         if t1 not in top_seen:
             sub = resolve(0, t1, F(t1))
             if isinstance(sub, int):
                 top_seen[t1] = None, sub
             else:
-                top_seen[t1] = v - prices[0] - t1 * sub[1][0], sub
+                top_seen[t1] = t1 * sub[1][0] - (v - prices[0]), sub
         return top_seen[t1]
 
-    g_bar, sub_bar = top_gap(theta_bar)
-    if g_bar is None:
+    e_bar, sub_bar = top_excess(theta_bar)
+    if e_bar is None:
         return sub_bar
-    if g_bar >= 0.0:
+    if e_bar <= 0.0:
         return [theta_bar] + sub_bar[0], sub_bar[1], True
 
-    lo, hi = 0.0, theta_bar
-    g_lo_val = None
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        g_mid, _ = top_gap(mid)
-        if g_mid is None or g_mid > 0.0:
-            lo, g_lo_val = mid, g_mid
-        else:
-            hi = mid
-        if hi - lo < _THETA_TOL:
-            break
-    if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > _THETA_TOL:
-        hi = brentq(
-            lambda t: (lambda gv: gv if gv is not None else 1.0)(top_gap(t)[0]),
-            lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
-        )
-    else:
-        for _ in range(76):
-            mid = 0.5 * (lo + hi)
-            g_mid, _ = top_gap(mid)
-            if g_mid is None or g_mid > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < _THETA_TOL:
-                break
-    g_fin, sub_fin = top_gap(hi)
-    if g_fin is None:
+    lo, hi = _boundary_root(lambda t: top_excess(t)[0], theta_bar, 76)
+    e_fin, sub_fin = top_excess(hi)
+    if e_fin is None:
         return sub_fin
-    if abs(g_fin) > 1e-6 * max(1.0, v):
-        g_lo, sub_lo = top_gap(lo)
-        if g_lo is None:
+    if abs(e_fin) > 1e-6 * max(1.0, v):
+        e_lo, sub_lo = top_excess(lo)
+        if e_lo is None:
             return sub_lo
         raise ConvergenceError(
-            f"cutoff chain residual {g_fin:.3e} above tolerance at prices {prices}"
+            f"cutoff chain residual {-e_fin:.3e} above tolerance at prices {prices}"
         )
     return [hi] + sub_fin[0], sub_fin[1], False
 
@@ -870,10 +835,7 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
             cum += q
             cutoffs[ci] = scenario.dist.quantile(min(cum, 1.0))
         for ci, q in zip(g.idx, parts):
-            if q <= 1e-15:
-                levels[ci] = model._value_capped(max(q, 0.0), scenario.capacities[ci])
-            else:
-                levels[ci] = model.evaluate(q, scenario.capacities[ci])
+            levels[ci] = _class_level(model, q, scenario.capacities[ci])
         cutoffs[g.idx[0]] = top  # pin exactly against quantile roundoff
 
     # a dropped group's members tie with the top boundary of the first

@@ -202,3 +202,24 @@ def test_byte_identical_reruns(tmp_path):
         assert code == 0
         outs.append((outdir / "partition.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--grid", "5"],
+    ["partition", "--objective", "welfare"],
+    ["duopoly", "--tol", "1e-6"],
+])
+def test_flags_a_command_does_not_read_are_input_errors(tmp_path, argv):
+    scen = write(tmp_path, UTL_TWO)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--scenario", scen, "--out", str(tmp_path)] + argv[1:])
+    assert exc.value.code == 2
+
+
+def test_partition_with_a_tiny_outage_class_exits_cleanly(tmp_path):
+    # the 3e-5 class's pooled usage overflows a float once the tie level
+    # passes ~1.02; the command must fail as a computation, not crash
+    scen = write(tmp_path, "model = outage(eps=0.5)\nV = 1.0\nsplit = 0.00003, 0.27, 0.48\n")
+    code = main(["partition", "--scenario", scen, "--out", str(tmp_path)])
+    assert code in (0, 3)
+    assert (tmp_path / "partition.csv").exists() == (code == 0)

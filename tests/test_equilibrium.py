@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pmplab import congestion as cg
 from pmplab import equilibrium as eqm
-from pmplab.errors import DomainError, OrderError
+from pmplab.errors import DomainError, OrderError, PmplabError
 from pmplab.population import tabulated, uniform
 
 
@@ -401,12 +401,33 @@ _FALLBACK_CASES = {
     "outage_tie2": (cg.outage(0.5), (1.0, 0.6), (1.0, 1.0)),
     "outage_tie3": (cg.outage(0.5), (0.8, 0.5, 0.7), (0.9, 0.9, 0.9)),
     "outage_tie2_above": (cg.outage(0.5), (1.0, 0.6, 0.5), (0.8, 0.8, 0.3)),
+    # top cutoff below 2**-24: the top search never moves its lower end, so
+    # it finishes by bisection alone
+    "latency_tie2_near_v": (cg.latency(), (1.0, 0.6), (2.0 - 1e-9, 2.0 - 1e-9)),
+    "general_latency_tie2_near_v": (cg.general_latency(0.5), (1.0, 0.6),
+                                    (2.0 - 1e-9, 2.0 - 1e-9)),
+    # a feasibility threshold makes an inner residual jump sign without
+    # crossing zero: the inner search finishes by bisection and hands the
+    # empty class up, and the top search bisects before classes are dropped
+    "latency_threshold": (cg.latency(),
+                          (0.23391308055244486, 0.19798480341650537, 1.159310891186766),
+                          (1.35, 1.178, 0.824)),
+    "general_latency_threshold": (cg.general_latency(0.5),
+                                  (1.329961434896358, 0.00012994825739790934,
+                                   0.5872578666363328),
+                                  (1.966, 1.407, 0.087)),
 }
 
 # float.hex of (cutoffs, prices, usages, levels) as solved with every bracket
 # end and tie level evaluated afresh: reusing them must not move a bit.  The
 # benchmark compares 9 significant digits only, so only these pin the bits.
 _FALLBACK_BITS = {
+    'general_latency_threshold': (
+        ('0x1.a41a15a901bd3p-2', '0x1.a41a15a901bd3p-2', '0x1.a41a15a901bd3p-2'),
+        ('0x1.f74bc6a7ef9dbp+0', '0x1.683126e978d50p+0', '0x1.645a1cac08312p-4'),
+        ('0x0.0p+0', '0x0.0p+0', '0x1.a41a15a901bd3p-2'),
+        ('0x1.80f93bce92af5p-1', '0x1.e0f5edfe4a917p+12', '0x1.2a6db0a693d94p+2'),
+    ),
     'general_latency_tie2': (
         ('0x1.1f4fba446a397p-1', '0x1.9f53909ce6f3ap-5'),
         ('0x1.0000000000000p+0', '0x1.0000000000000p+0'),
@@ -419,11 +440,23 @@ _FALLBACK_BITS = {
         ('0x1.145f4ff1c8cf6p-3', '0x1.080d49a113ecdp-2', '0x1.279d33cf21e45p-3'),
         ('0x1.1df3aade84290p+0', '0x1.4dec3f63d997cp+1', '0x1.4dec3f63d997ap+1'),
     ),
+    'general_latency_tie2_near_v': (
+        ('0x1.1300000000000p-30', '0x0.0p+0'),
+        ('0x1.fffffffbb47d0p+0', '0x1.fffffffbb47d0p+0'),
+        ('0x1.1300000000000p-30', '0x0.0p+0'),
+        ('0x1.0000000339000p+0', '0x1.aaaaaaaaaaaabp+0'),
+    ),
     'general_latency_tie3': (
         ('0x1.22062f08f819ep-1', '0x1.d05ee84cc0729p-3', '0x1.d05ee84cc0729p-3'),
         ('0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1', '0x1.ccccccccccccdp-1'),
         ('0x1.5bdce9eb8ffa8p-2', '0x0.0p+0', '0x1.d05ee84cc0729p-3'),
         ('0x1.f120d4d3a8078p+0', '0x1.0000000000000p+1', '0x1.f120d4d3a8076p+0'),
+    ),
+    'latency_threshold': (
+        ('0x1.40c9c3be7a3a9p-1', '0x1.40c9c3be7a3a9p-1', '0x1.40c9c3be7a3a9p-1'),
+        ('0x1.599999999999ap+0', '0x1.2d916872b020cp+0', '0x1.a5e353f7ced91p-1'),
+        ('0x0.0p+0', '0x0.0p+0', '0x1.40c9c3be7a3a9p-1'),
+        ('0x1.119b1c902ed16p+2', '0x1.4341d37dd084ep+2', '0x1.e08192501363dp+0'),
     ),
     'latency_tie2': (
         ('0x1.111111111110ap-1', '0x1.11111111110f8p-4'),
@@ -436,6 +469,12 @@ _FALLBACK_BITS = {
         ('0x1.6666666666666p+0', '0x1.999999999999ap-1', '0x1.999999999999ap-1'),
         ('0x1.1f47a057c44a6p-3', '0x1.e6f9e6202fc46p-3', '0x1.1a2d195362f7cp-3'),
         ('0x1.29c4e10d29f1ep+0', '0x1.6160b0fa0434fp+1', '0x1.6160b0fa04350p+1'),
+    ),
+    'latency_tie2_near_v': (
+        ('0x1.1300000000000p-30', '0x0.0p+0'),
+        ('0x1.fffffffbb47d0p+0', '0x1.fffffffbb47d0p+0'),
+        ('0x1.1300000000000p-30', '0x0.0p+0'),
+        ('0x1.000000044c000p+0', '0x1.aaaaaaaaaaaabp+0'),
     ),
     'latency_tie3': (
         ('0x1.12bb512bb5127p-1', '0x1.cb8d1cb8d1ca4p-3', '0x1.b2935b2935b1ep-3'),
@@ -488,6 +527,205 @@ def test_fallback_solves_keep_exact_bits(name, monkeypatch):
     got = tuple(tuple(float.hex(x) for x in getattr(eq, field))
                 for field in ("cutoffs", "prices", "usages", "levels"))
     assert got == _FALLBACK_BITS[name]
+
+
+@pytest.mark.parametrize("name, branches", [
+    ("latency_tie2_near_v", {"top_bisected"}),
+    ("general_latency_tie2_near_v", {"top_bisected"}),
+    ("latency_threshold", {"top_bisected", "inner_bisected", "inner_threshold"}),
+    ("general_latency_threshold", {"top_bisected", "inner_bisected", "inner_threshold"}),
+])
+def test_fallback_pins_reach_the_bisection_finishes(name, branches, monkeypatch):
+    """The pins above cover the searches that skip brentq: the top search
+    finishing by bisection, and an inner one whose lower end lands on a
+    feasibility threshold."""
+    seen, stack = set(), []
+    search, polish = eqm._boundary_root, eqm.brentq
+
+    def brentq(*args, **kwargs):
+        stack[-1] = True  # the innermost search running is the caller
+        return polish(*args, **kwargs)
+
+    def boundary_root(rising, top, more_steps):
+        stack.append(False)
+        lo, hi = search(rising, top, more_steps)
+        where = "top" if more_steps == 76 else "inner"
+        if not stack.pop():
+            seen.add(where + "_bisected")
+            # memoized by the caller, so this adds no solve of its own
+            if lo > 0.0 and rising(lo) is None:
+                seen.add(where + "_threshold")
+        return lo, hi
+
+    monkeypatch.setattr(eqm, "brentq", brentq)
+    monkeypatch.setattr(eqm, "_boundary_root", boundary_root)
+    model, caps, prices = _FALLBACK_CASES[name]
+    eqm.cutoffs_from_prices(eqm.MarketScenario(2.0, caps, model), prices)
+    assert branches <= seen
+
+
+# ---------------------------------------------------------------------------
+# the shared bracket search against the two searches it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_inner_search(resid, top):
+    """The boundary search each nested-bisection frame ran on its own."""
+    lo, hi = 0.0, top
+    r_lo_val = None
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        r_mid = resid(mid)
+        if r_mid is None or r_mid < 0.0:
+            lo, r_lo_val = mid, r_mid
+        else:
+            hi = mid
+        if hi - lo < eqm._THETA_TOL:
+            break
+    if r_lo_val is not None and r_lo_val < 0.0 and hi - lo > eqm._THETA_TOL:
+        hi = eqm.brentq(
+            lambda b: (lambda rv: rv if rv is not None else -1.0)(resid(b)),
+            lo, hi, xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER,
+        )
+    else:
+        for _ in range(56):
+            mid = 0.5 * (lo + hi)
+            r_mid = resid(mid)
+            if r_mid is None or r_mid < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < eqm._THETA_TOL:
+                break
+    return lo, hi
+
+
+def _ref_top_search(gap, top):
+    """The top-cutoff search on the unnegated gap, which falls as t rises."""
+    lo, hi = 0.0, top
+    g_lo_val = None
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        g_mid = gap(mid)
+        if g_mid is None or g_mid > 0.0:
+            lo, g_lo_val = mid, g_mid
+        else:
+            hi = mid
+        if hi - lo < eqm._THETA_TOL:
+            break
+    if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > eqm._THETA_TOL:
+        hi = eqm.brentq(
+            lambda t: (lambda gv: gv if gv is not None else 1.0)(gap(t)),
+            lo, hi, xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER,
+        )
+    else:
+        for _ in range(76):
+            mid = 0.5 * (lo + hi)
+            g_mid = gap(mid)
+            if g_mid is None or g_mid > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < eqm._THETA_TOL:
+                break
+    return lo, hi
+
+
+def _rising(root, scale, curve, threshold):
+    """Increasing through ``root``, infeasible (None) below ``threshold``."""
+    def f(b):
+        if b < threshold:
+            return None
+        d = b - root
+        return scale * d * (1.0 + curve * d * d) + curve * d * d * d
+    return f
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    top=st.floats(1e-6, 3.0),
+    root_frac=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-7)),  # tiny roots: no brentq
+    scale=st.floats(1e-3, 1e3),
+    curve=st.floats(0.0, 50.0),
+    threshold_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@example(top=1.0, root_frac=1e-9, scale=1.0, curve=0.0, threshold_frac=0.0)
+@example(top=1.0, root_frac=0.3, scale=2.0, curve=1.0, threshold_frac=0.6)
+@example(top=1e-5, root_frac=0.4, scale=1.0, curve=0.0, threshold_frac=0.0)
+def test_boundary_root_matches_both_old_searches(top, root_frac, scale, curve, threshold_frac):
+    rising = _rising(root_frac * top, scale, curve, threshold_frac * top)
+    got = eqm._boundary_root(rising, top, 56)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, _ref_inner_search(rising, top)))
+
+    def gap(t):
+        r = rising(t)
+        return None if r is None else -r
+    got = eqm._boundary_root(rising, top, 76)
+    assert tuple(map(float.hex, got)) == tuple(map(float.hex, _ref_top_search(gap, top)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.floats(0.0, 50.0),
+    st.floats(0.0, 1.0), st.floats(1e-6, 1.0),
+)
+def test_brentq_iterates_ignore_a_sign_flip(root, scale, curve, below, width):
+    """brentq steps by ratios of value differences, so negating every
+    value must leave each iterate, and the root it returns, unchanged."""
+    f = _rising(root, scale, curve, -math.inf)
+    lo, hi = root - below * width - 1e-9, root + width
+    xs, neg_xs = [], []
+
+    def logged(g, out):
+        return lambda x: out.append(x) or g(x)
+    kw = dict(xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER)
+    a = eqm.brentq(logged(f, xs), lo, hi, **kw)
+    b = eqm.brentq(logged(lambda x: -f(x), neg_xs), lo, hi, **kw)
+    assert float.hex(a) == float.hex(b)
+    assert list(map(float.hex, xs)) == list(map(float.hex, neg_xs))
+
+
+# Markets where the incremental class shedding fails and that a search over
+# every active subset reached before it was deleted: the subset search
+# found no consistent active set in any of them either.
+_NO_ACTIVE_SET_CASES = [
+    (4.0, cg.outage(0.5),
+     (1.3254982991934239, 0.00037219246223816325, 0.0005097869093421587, 0.7114806987768586),
+     (1.8579001751707334, 1.6027815112492734, 1.5681930360405323, 1.5513756582441602)),
+    (2.0, cg.outage(0.5),
+     (3.449893111684096e-07, 3.100823737543334e-06, 0.053150289381882175),
+     (1.759, 1.625, 1.42)),
+    (1.0, cg.outage(0.5),
+     (0.46269754803627405, 1.563989328218235e-06, 0.00039756262057827097, 0.8161520058553967),
+     (0.5819267148642364, 0.5180653509114633, 0.364423898011178, 0.31485022432137744)),
+    (1.0, cg.outage(0.5),
+     (0.8835518602406602, 5.1194029558262056e-06, 0.00039259955613913294, 0.3806785672045827),
+     (0.6098197841678409, 0.2740426902641595, 0.2548377598875867, 0.021477429251590685)),
+]
+
+
+@pytest.mark.parametrize("v, model, caps, prices", _NO_ACTIVE_SET_CASES)
+def test_markets_without_a_consistent_active_set_raise(v, model, caps, prices):
+    with pytest.raises(PmplabError):
+        eqm.cutoffs_from_prices(eqm.MarketScenario(v, caps, model), prices)
+
+
+def test_outage_tie_group_with_a_tiny_member_does_not_overflow():
+    # lev ** (1 / 3e-5) leaves the float range once the level passes ~1.02,
+    # which the level bracket reaches for any group mass above ~0.55
+    model = cg.outage(0.5)
+    caps = [0.2762514337328343, 3.023602266400793e-05]
+    level = eqm._Group(0.72, caps, [0, 1]).level_function(model)
+    for q in (0.5, 1.0, 2.0, 10.0):
+        lev = level(q)
+        assert sum(model.usage_at_level(lev, c) for c in caps) == pytest.approx(q, rel=1e-9)
+    sc = eqm.MarketScenario(
+        1.0, (0.2762514337328343, 3.023602266400793e-05, 0.48243877707154764), cg.outage(0.5))
+    try:
+        eq = eqm.cutoffs_from_prices(
+            sc, [0.7212304803820815, 0.7212304803820815, 0.3183189438658576])
+    except PmplabError:
+        return
+    assert eqm.validate(sc, eq).all_ok
 
 
 # ---------------------------------------------------------------------------
