@@ -24,6 +24,7 @@ import sys
 
 from . import congestion as cg
 from . import duopoly as duop
+from ._tolerances import NONEMPTY_USAGE, SPLIT_DOMINANCE_SLACK
 from .duopoly import DuopolyScenario
 from .equilibrium import MarketScenario, identical_price_equilibrium
 from .errors import PmplabError, ScenarioError
@@ -85,7 +86,7 @@ def _cmd_classify(sf: ScenarioFile, args) -> int:
             eq = identical_price_equilibrium(split_sc, sf.v * k / 8)
         except PmplabError:
             continue
-        if all(q > 1e-9 for q in eq.usages):
+        if all(q > NONEMPTY_USAGE for q in eq.usages):
             eq_cases.add(cg.monotone_case(sf.model, caps, eq.usages))
     strict_cases = eq_cases - {"Both"}
     restricted_case = restricted.verdict.replace("Consistent", "")
@@ -118,10 +119,7 @@ def _cmd_classify(sf: ScenarioFile, args) -> int:
          ""),
     ]
     path = os.path.join(args.out, "classify.csv")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("check,verdict,detail1,detail2\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+    _write_csv(path, "check,verdict,detail1,detail2", rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -226,7 +224,7 @@ def _cmd_duopoly(sf: ScenarioFile, args) -> int:
     ]
     path = os.path.join(args.out, "duopoly.csv")
     _write_csv(path, "pI,piI,piII_1class,piII_2class", rows)
-    dominated = sum(1 for r in rows if r[3] >= r[2] - 1e-9)
+    dominated = sum(1 for r in rows if r[3] >= r[2] - SPLIT_DOMINANCE_SLACK)
     print(f"duopoly curve on {len(rows)} prices: split dominates at {dominated}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -287,6 +285,9 @@ def main(argv=None) -> int:
             print("tolerance must be positive", file=sys.stderr)
             return EXIT_INPUT
         sf.tol = args.tol
+    if getattr(args, "grid", None) is not None and args.grid < 2:
+        print(f"--grid must be at least 2, got {args.grid}", file=sys.stderr)
+        return EXIT_INPUT
     os.makedirs(args.out, exist_ok=True)
     try:
         return _COMMANDS[args.command](sf, args)

@@ -42,6 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._tolerances import (
+    DIVERGED_LEVEL, LEVEL_INVERSION_STEPS, MARGINAL_FD_STEP, MONOTONE_TIE,
+    PROFILE_LEVEL_TIE, SCALING_GAP_TOL, SCALING_INDIFFERENT_TOL,
+)
 from .errors import DegenerateError, DomainError
 
 __all__ = [
@@ -78,9 +82,6 @@ _ALL_KINDS = (
     "outage",
     "utilization_default",
 )
-
-# Finite stand-in for a diverged latency level inside solvers (never exposed).
-_HUGE_LEVEL = 1e12
 
 
 @dataclass(frozen=True)
@@ -144,19 +145,19 @@ class CongestionModel:
 
     # -- derivatives --------------------------------------------------------
 
-    def marginal(self, q: float, c: float, fd_step: Optional[float] = None) -> float:
+    def marginal(self, q: float, c: float) -> float:
         """Slope dK/dQ at (q, c).
 
         Utilization kinds and plain latency use their closed forms (1/c and
         1/(c-q)^2).  The other kinds are differenced centrally with step
-        ``max(1e-6, 1e-6 c)``; a :class:`DegenerateError` is raised when q
-        sits within one step of a domain boundary.
+        ``max(h, h c)``, h = ``MARGINAL_FD_STEP``; a :class:`DegenerateError`
+        is raised when q sits within one step of a domain boundary.
         """
         self.check_domain(q, c)
         kind = self.kind
         if kind in ("utilization", "utilization_default", "latency"):
             return self._slope(q, c)
-        h = fd_step if fd_step is not None else max(1e-6, 1e-6 * c)
+        h = max(MARGINAL_FD_STEP, MARGINAL_FD_STEP * c)
         lo = self.min_usage()
         if q - h < lo or (kind in _LATENCY_KINDS and q + h >= c):
             raise DegenerateError(
@@ -195,7 +196,7 @@ class CongestionModel:
         lo, hi = 0.0, 1.0
         while self._value(hi * c, c) < level:
             hi *= 2.0
-        for _ in range(80):
+        for _ in range(LEVEL_INVERSION_STEPS):
             mid = 0.5 * (lo + hi)
             if self._value(mid * c, c) < level:
                 lo = mid
@@ -297,7 +298,7 @@ def _kernels(model: CongestionModel):
     if kind in _LATENCY_KINDS:
         def value_capped(q, c):
             if q >= c:
-                return _HUGE_LEVEL * (1.0 + q - c)
+                return DIVERGED_LEVEL * (1.0 + q - c)
             return value(0.0 if q <= 0.0 else q, c)
     elif kind == "utilization_default":
         def value_capped(q, c):
@@ -368,14 +369,13 @@ def classify_scaling(
     model: CongestionModel,
     q_grid: Optional[Sequence[tuple]] = None,
     alpha_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-9,
-    indifferent_tol: float = 1e-12,
+    tol: float = SCALING_GAP_TOL,
 ) -> ScalingClass:
     """Classify how congestion responds to scaling a class down.
 
     For every grid point (Q, C) and every scale factor a the gap
     ``K(Q, C) - K(aQ, aC)`` is evaluated.  All gaps within
-    ``indifferent_tol`` of zero: Indifferent.  All gaps >= -tol with at
+    ``SCALING_INDIFFERENT_TOL`` of zero: Indifferent.  All gaps >= -tol with at
     least one above tol: PartitionPreferred (scaled-down copies are no more
     congested).  The mirror image: MultiplexingPreferred.  Anything else:
     Mixed, with one witness in each direction.
@@ -407,7 +407,7 @@ def classify_scaling(
                 min_gap, witness_up = gap, (q, c, a)
     if evaluated == 0:
         raise DomainError("no admissible grid points for scaling classification")
-    if max_gap <= indifferent_tol and -min_gap <= indifferent_tol:
+    if max_gap <= SCALING_INDIFFERENT_TOL and -min_gap <= SCALING_INDIFFERENT_TOL:
         return ScalingClass(INDIFFERENT, max_gap=max_gap, min_gap=min_gap)
     if min_gap >= -tol and max_gap > tol:
         return ScalingClass(PARTITION_PREFERRED, witness_down=witness_down,
@@ -427,15 +427,15 @@ def monotone_case(
     model: CongestionModel,
     capacities: Sequence[float],
     usage_profile: Sequence[float],
-    tie_tol: float = 1e-12,
 ) -> str:
     """Monotone-preference case of one concrete usage profile.
 
     Over every class pair with distinct usages, tests whether the larger
     usage always carries the larger marginal slope ("M1"), always the
     smaller ("M2"), or neither.  Profiles with no distinct-usage pair
-    return "Both".  Slope ties within ``tie_tol`` satisfy both directions
-    rather than spoiling either.
+    return "Both".  Usages, and slopes, within ``MONOTONE_TIE`` of each
+    other are tied; a slope tie satisfies both directions rather than
+    spoiling either.
     """
     if len(capacities) != len(usage_profile):
         raise DomainError("capacities and usage profile must have equal length")
@@ -447,9 +447,9 @@ def monotone_case(
     n = len(capacities)
     for i in range(n):
         for j in range(n):
-            if usage_profile[i] > usage_profile[j] + tie_tol:
+            if usage_profile[i] > usage_profile[j] + MONOTONE_TIE:
                 any_pair = True
-                if abs(slopes[i] - slopes[j]) <= tie_tol:
+                if abs(slopes[i] - slopes[j]) <= MONOTONE_TIE:
                     continue
                 if slopes[i] > slopes[j]:
                     m2_ok = False
@@ -506,7 +506,8 @@ def c2_profile_filter(model: CongestionModel, capacities, profiles):
     kept = []
     for prof in profiles:
         levels = [model._value_capped(q, c) for q, c in zip(prof, capacities)]
-        if all(levels[i] <= levels[i + 1] + 1e-12 for i in range(len(levels) - 1)):
+        if all(levels[i] <= levels[i + 1] + PROFILE_LEVEL_TIE
+               for i in range(len(levels) - 1)):
             kept.append(prof)
     return kept
 
@@ -515,7 +516,6 @@ def global_monotone(
     model: CongestionModel,
     capacities: Sequence[float],
     profiles: Optional[Sequence[Sequence[float]]] = None,
-    tie_tol: float = 1e-12,
 ) -> MonotoneReport:
     """Sweep usage profiles and test for a globally consistent monotone case.
 
@@ -527,7 +527,7 @@ def global_monotone(
         profiles = _default_profiles(model, list(capacities))
     first_m1 = first_m2 = None
     for prof in profiles:
-        case = monotone_case(model, capacities, prof, tie_tol)
+        case = monotone_case(model, capacities, prof)
         if case == "Neither":
             return MonotoneReport("Violated", ((tuple(prof), "Neither"),))
         if case == "M1" and first_m1 is None:

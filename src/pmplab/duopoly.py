@@ -18,9 +18,14 @@ profit curves over a grid of provider-I prices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._tolerances import (
+    ACCESS_VALUE_SLACK, ASCENT_GAIN, CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP,
+    NASH_MOVE_TOL, NASH_SPLIT_MARGIN, NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK,
+    PLATEAU_TOL, PRICE_XTOL, REL_GAP_FLOOR, SPLIT_XTOL, STRATEGY_ORDER_SLACK,
+)
 from .equilibrium import (
     MarketScenario,
     cutoffs_from_prices,
@@ -61,11 +66,9 @@ class DuopolyScenario:
     cap_i: float
     cap_ii: float
     model: CongestionModel
-    dist: TypeDistribution = None
+    dist: TypeDistribution = field(default_factory=uniform)
 
     def __post_init__(self):
-        if self.dist is None:
-            object.__setattr__(self, "dist", uniform())
         if self.v <= 0.0:
             raise DomainError("access value must be positive")
         if self.cap_i < 0.0 or self.cap_ii < 0.0:
@@ -90,7 +93,7 @@ class ProviderStrategy:
             if c <= 0.0:
                 raise DomainError(f"capacity must be positive, got {c}")
         for (pa, _), (pb, _) in zip(cls, cls[1:]):
-            if pb > pa + 1e-12:
+            if pb > pa + STRATEGY_ORDER_SLACK:
                 raise DomainError("strategy prices must be nonincreasing")
         object.__setattr__(self, "classes", cls)
 
@@ -101,10 +104,6 @@ class ProviderStrategy:
     @staticmethod
     def two(p1, c1, p2, c2) -> "ProviderStrategy":
         return ProviderStrategy(((p1, c1), (p2, c2)))
-
-    @property
-    def total_capacity(self) -> float:
-        return sum(c for _p, c in self.classes)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def market_equilibrium(
     entries += [(p, c, "II") for p, c in strat_ii.classes]
     if not entries:
         raise PreconditionError("no classes offered by either provider")
-    if any(p > duo.v + 1e-12 for p, _c, _o in entries):
+    if any(p > duo.v + ACCESS_VALUE_SLACK for p, _c, _o in entries):
         raise DomainError("prices must not exceed the access value")
     if len(entries) > 3:
         raise PreconditionError("at most three merged classes are supported")
@@ -177,7 +176,7 @@ class DerivativeReport:
     def relative_gap(self) -> Optional[float]:
         if self.closed_form is None:
             return None
-        scale = max(abs(self.finite_difference), 1e-12)
+        scale = max(abs(self.finite_difference), REL_GAP_FLOOR)
         return abs(self.closed_form - self.finite_difference) / scale
 
 
@@ -198,21 +197,20 @@ def profit_derivative_I(
     duo: DuopolyScenario,
     p_i: float,
     strat_ii: ProviderStrategy,
-    h: Optional[float] = None,
     cross_check: bool = True,
 ) -> DerivativeReport:
     """Central finite difference of provider I's profit in its own price.
 
-    The step must not straddle a price-ordering case boundary (one of
-    provider II's prices, or the ends of [0, V]); :class:`BoundaryError`
-    protects against differencing across the kink.  When ``cross_check``
-    is set and a legible tabulated closed form exists for the active case,
-    it is evaluated on the equilibrium quantities and compared; rows whose
-    published source is garbled are reported as 'corrupted-source' rather
-    than guessed at.
+    The step, ``DERIVATIVE_STEP`` times V, must not straddle a price-ordering
+    case boundary (one of provider II's prices, or the ends of [0, V]);
+    :class:`BoundaryError` protects against differencing across the kink.
+    When ``cross_check`` is set and a legible tabulated closed form exists
+    for the active case, it is evaluated on the equilibrium quantities and
+    compared; rows whose published source is garbled are reported as
+    'corrupted-source' rather than guessed at.
     """
     v = duo.v
-    step = h if h is not None else 1e-5 * v
+    step = DERIVATIVE_STEP * v
     ii_prices = [p for p, _c in strat_ii.classes]
     for boundary in ii_prices + [0.0, v]:
         if abs(p_i - boundary) < step and abs(p_i - boundary) > 0:
@@ -232,8 +230,8 @@ def profit_derivative_I(
 
     closed, status = _closed_form_derivative(duo, p_i, strat_ii, case)
     if closed is not None:
-        rel = abs(closed - fd) / max(abs(fd), 1e-12)
-        status = "agrees" if rel <= 1e-3 else "mismatch"
+        rel = abs(closed - fd) / max(abs(fd), REL_GAP_FLOOR)
+        status = "agrees" if rel <= CLOSED_FORM_AGREEMENT else "mismatch"
     return DerivativeReport(fd, closed, case, status)
 
 
@@ -298,23 +296,22 @@ def _closed_form_derivative(duo, p_i, strat_ii, case):
 # best responses
 # ---------------------------------------------------------------------------
 
-def _segmented_price_max(f, v, boundaries, grid=256, xtol=1e-7):
+def _segmented_price_max(f, v, boundaries, grid):
     """Maximize f over [0, v], scanning each price-ordering case separately."""
     cuts = sorted({0.0, v, *(b for b in boundaries if 0.0 < b < v)})
     best_x = best_v = None
     for lo, hi in zip(cuts, cuts[1:]):
         n = max(32, int(grid * (hi - lo) / v))
-        x, val, _ = _grid_golden_max(f, lo, hi, n=n, xtol=xtol)
+        x, val, _ = _grid_golden_max(f, lo, hi, n=n, xtol=PRICE_XTOL)
         if val is not None and (best_v is None or val > best_v
-                                or (val >= best_v - 1e-12 and x > best_x)):
+                                or (val >= best_v - PLATEAU_TOL and x > best_x)):
             best_x, best_v = x, val
     if best_x is None:
         raise ConvergenceError("no feasible price in any case segment")
     return best_x, best_v
 
 
-def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy,
-                    grid: int = 256, xtol: float = 1e-7):
+def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy, grid: int = 256):
     """Provider I's profit-maximizing price against a fixed rival offer.
 
     A price the search visits again is solved once per call; nothing is
@@ -331,12 +328,11 @@ def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy,
         return profits[p]
 
     boundaries = [p for p, _c in strat_ii.classes]
-    return _segmented_price_max(f, duo.v, boundaries, grid=grid, xtol=xtol)
+    return _segmented_price_max(f, duo.v, boundaries, grid=grid)
 
 
 def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
-                     grid: int = 192, xtol: float = 1e-7,
-                     split_grid: int = 33, cycles: int = 3, _one=None):
+                     grid: int = 192, split_grid: int = 33, cycles: int = 3, _one=None):
     """Provider II's best offer against a fixed provider-I price.
 
     mode 'one': a single class at capacity C_II, price optimized per case
@@ -376,7 +372,7 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
         return profit(strat)
 
     if _one is None:
-        p_one, v_one = _segmented_price_max(f_one, v, [p_i], grid=grid, xtol=xtol)
+        p_one, v_one = _segmented_price_max(f_one, v, [p_i], grid=grid)
     else:
         p_one, v_one = _one
     if mode == "one":
@@ -408,22 +404,24 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
             val = -math.inf  # let the first feasible move adopt the seed
         for _ in range(cycles):
             moved = False
-            x, fx, _ = _grid_golden_max(lambda t: value(t, p2, s), p2, v, n=24, xtol=xtol)
-            if x is not None and fx is not None and fx > val + 1e-12:
+            x, fx, _ = _grid_golden_max(lambda t: value(t, p2, s), p2, v, n=24,
+                                        xtol=PRICE_XTOL)
+            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 p1, val, moved = x, fx, True
-            x, fx, _ = _grid_golden_max(lambda t: value(p1, t, s), 0.0, p1, n=24, xtol=xtol)
-            if x is not None and fx is not None and fx > val + 1e-12:
+            x, fx, _ = _grid_golden_max(lambda t: value(p1, t, s), 0.0, p1, n=24,
+                                        xtol=PRICE_XTOL)
+            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 p2, val, moved = x, fx, True
             # scan the equal-price diagonal too: profit ridges sit on the
             # tie line whenever splitting pays through level matching
             # alone, and single-axis moves cannot walk along it
             x, fx, _ = _grid_golden_max(lambda t: value(t, t, s),
-                                        0.0, v, n=24, xtol=xtol)
-            if x is not None and fx is not None and fx > val + 1e-12:
+                                        0.0, v, n=24, xtol=PRICE_XTOL)
+            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 p1, p2, val, moved = x, x, fx, True
             x, fx, _ = _grid_golden_max(lambda t: value(p1, p2, t), 0.0, 1.0,
-                                        n=split_grid - 1, xtol=1e-6)
-            if x is not None and fx is not None and fx > val + 1e-12:
+                                        n=split_grid - 1, xtol=SPLIT_XTOL)
+            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 s, val, moved = x, fx, True
             if not moved:
                 break
@@ -451,18 +449,16 @@ class NashResult:
     trajectory: tuple
 
 
-def find_nash(duo: DuopolyScenario, mode: str = "one", start_p_i: Optional[float] = None,
-              tol: float = 1e-6, max_rounds: int = 100) -> NashResult:
+def find_nash(duo: DuopolyScenario, mode: str = "one", max_rounds: int = 100) -> NashResult:
     """Alternating best responses until neither provider moves.
 
-    Starts from a deterministic provider-I price (V/2 unless given), lets
-    II best-respond, then I, and repeats.  Convergence means the largest
-    strategy coordinate change in a round fell below ``tol``; the result
-    then undergoes a neighbourhood local-maximum verification.  Cycles and
-    exhausted budgets raise :class:`NoConvergenceError` carrying the
-    visited trajectory.
+    Starts from provider-I price V/2, lets II best-respond, then I, and
+    repeats.  Convergence means the largest strategy coordinate change in
+    a round fell below ``NASH_MOVE_TOL``; the result then undergoes a
+    neighbourhood local-maximum verification.  Cycles and exhausted budgets
+    raise :class:`NoConvergenceError` carrying the visited trajectory.
     """
-    p_i = duo.v / 2.0 if start_p_i is None else float(start_p_i)
+    p_i = duo.v / 2.0
     trajectory = []
     seen = {}
     strat_ii = ProviderStrategy(())
@@ -485,7 +481,7 @@ def find_nash(duo: DuopolyScenario, mode: str = "one", start_p_i: Optional[float
             for (pa, ca), (pb, cb) in zip(prev_cls, strat_ii_new.classes):
                 change = max(change, abs(pa - pb), abs(ca - cb))
         p_i, strat_ii = p_i_new, strat_ii_new
-        if change < tol:
+        if change < NASH_MOVE_TOL:
             me = market_equilibrium(duo, ProviderStrategy.one(p_i, duo.cap_i), strat_ii)
             verified = _verify_nash(duo, p_i, strat_ii)
             return NashResult(p_i, strat_ii, me.pi_i, me.pi_ii, rounds,
@@ -501,64 +497,52 @@ def find_nash(duo: DuopolyScenario, mode: str = "one", start_p_i: Optional[float
     )
 
 
-def _verify_nash(duo: DuopolyScenario, p_i: float, strat_ii: ProviderStrategy,
-                 radius: float = 1e-3, slack: float = 1e-8) -> bool:
-    """Sample a small neighbourhood: no unilateral improvement allowed."""
-    offsets = [-radius, -radius / 2.0, 0.0, radius / 2.0, radius]
+def _verify_nash(duo: DuopolyScenario, p_i: float, strat_ii: ProviderStrategy) -> bool:
+    """Sample a small neighbourhood: no unilateral improvement allowed.
+
+    Provider I's candidates move its price, provider II's move each of its
+    prices and its split, by up to ``NASH_VERIFY_RADIUS``.  A candidate the
+    market cannot solve is skipped; an unsolvable posted state fails.
+    """
+    r = NASH_VERIFY_RADIUS
+    offsets = [-r, -r / 2.0, 0.0, r / 2.0, r]
 
     def clip(p):
         return min(max(p, 0.0), duo.v)
 
-    try:
-        base_i = _profit_i(duo, p_i, strat_ii)
-    except PmplabError:
-        return False
-    for d in offsets:
+    def improvable(profit, posted, candidates):
         try:
-            if _profit_i(duo, clip(p_i + d), strat_ii) > base_i + slack:
-                return False
+            bar = profit(posted) + NASH_VERIFY_SLACK
         except PmplabError:
-            continue
+            return True
+        for cand in candidates:
+            try:
+                if profit(cand) > bar:
+                    return True
+            except PmplabError:
+                continue
+        return False
 
-    if not strat_ii.classes:
-        return True
-    try:
-        base_ii = _profit_ii(duo, p_i, strat_ii)
-    except PmplabError:
+    if improvable(lambda p: _profit_i(duo, p, strat_ii), p_i,
+                  [clip(p_i + d) for d in offsets]):
         return False
     cls = strat_ii.classes
-    if len(cls) == 1:
-        (p, c) = cls[0]
-        for d in offsets:
-            try:
-                cand = ProviderStrategy.one(clip(p + d), c)
-                if _profit_ii(duo, p_i, cand) > base_ii + slack:
-                    return False
-            except PmplabError:
-                continue
+    if not cls:
         return True
-    (p1, c1), (p2, c2) = cls
-    for d1 in offsets:
-        for d2 in offsets:
-            q1, q2 = clip(p1 + d1), clip(p2 + d2)
-            if q2 > q1:
-                continue
-            try:
-                cand = ProviderStrategy.two(q1, c1, q2, c2)
-                if _profit_ii(duo, p_i, cand) > base_ii + slack:
-                    return False
-            except PmplabError:
-                continue
-    total = c1 + c2
-    for d in offsets:
-        c1_new = min(max(c1 + d * total, 1e-6 * total), (1.0 - 1e-6) * total)
-        try:
-            cand = ProviderStrategy.two(p1, c1_new, p2, total - c1_new)
-            if _profit_ii(duo, p_i, cand) > base_ii + slack:
-                return False
-        except PmplabError:
-            continue
-    return True
+    if len(cls) == 1:
+        [(p, c)] = cls
+        offers = [((clip(p + d), c),) for d in offsets]
+    else:
+        (p1, c1), (p2, c2) = cls
+        offers = [((q1, c1), (q2, c2)) for q1 in [clip(p1 + d) for d in offsets]
+                  for q2 in [clip(p2 + d) for d in offsets] if q2 <= q1]
+        total = c1 + c2
+        for d in offsets:
+            c1_new = min(max(c1 + d * total, NASH_SPLIT_MARGIN * total),
+                         (1.0 - NASH_SPLIT_MARGIN) * total)
+            offers.append(((p1, c1_new), (p2, total - c1_new)))
+    return not improvable(lambda offer: _profit_ii(duo, p_i, ProviderStrategy(offer)),
+                          cls, offers)
 
 
 # ---------------------------------------------------------------------------

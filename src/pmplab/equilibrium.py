@@ -40,7 +40,16 @@ from typing import Sequence
 
 from scipy.optimize import brentq
 
-from .congestion import _HUGE_LEVEL, CongestionModel
+from ._tolerances import (
+    ACCESS_VALUE_SLACK, BOUNDARY_BISECT_STEPS, BRENT_MAXITER, BRENT_RTOL, BRENT_XTOL,
+    CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, DIVERGED_LEVEL, EMPTY_CLASS_MASS,
+    INNER_EXTRA_STEPS, LEVEL_BRACKET_CAP, LEVEL_BRACKET_START, LEVEL_INVERSION_STEPS,
+    NEWTON_COLLAPSE, NEWTON_CONVERGED, NEWTON_HALVINGS, NEWTON_ITERATIONS,
+    NEWTON_MIN_USAGE_SLACK, ORDER_ROUNDOFF, PRICE_TOL, SATURATION_SLACK,
+    SEED_CUTOFF_GAP, SEED_USAGE_PAD, SINGULAR_PIVOT, SLOPE_FLOOR, SOLVED_RESIDUAL_TOL,
+    SUPPORT_END_SLACK, THETA_TOL, TIE_TOL, TOP_EXTRA_STEPS,
+)
+from .congestion import CongestionModel
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -60,22 +69,6 @@ __all__ = [
     "provider_profit",
     "validate",
 ]
-
-_PRICE_TOL = 1e-9      # accepted residual on the indifference equations
-_THETA_TOL = 1e-12     # bisection resolution on cutoffs
-_TIE_TOL = 1e-12       # cutoff ties flagged as degenerate below this gap
-
-# damped Newton on the cutoff chain
-_NEWTON_CONVERGED = 1e-12   # largest |residual| that ends the iteration
-_NEWTON_COLLAPSE = 1e-10    # interval width at which a solved group counts as empty
-_NEWTON_ITERATIONS = 32     # steps per attempt
-_NEWTON_HALVINGS = 12       # step halvings before an attempt gives up
-_SLOPE_FLOOR = 1e-13        # Jacobian slopes taken at least this far above min usage
-
-# brentq on a bracket the nested bisection has isolated
-_BRENT_XTOL = 1e-13
-_BRENT_RTOL = 8.9e-16
-_BRENT_MAXITER = 120
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +198,16 @@ class _Group:
         def level(q):
             q = max(q, 0.0)
             if q >= cap:
-                return _HUGE_LEVEL * (1.0 + q - cap)
+                return DIVERGED_LEVEL * (1.0 + q - cap)
             if q <= 0.0:
                 return floor
             lo = floor
-            hi = max(lo * 2.0, 1e-6)
+            hi = max(lo * 2.0, LEVEL_BRACKET_START)
             while usage_at(hi) < q:
                 hi *= 2.0
-                if hi > 1e14:
+                if hi > LEVEL_BRACKET_CAP:
                     return hi
-            for _ in range(80):
+            for _ in range(LEVEL_INVERSION_STEPS):
                 mid = 0.5 * (lo + hi)
                 if usage_at(mid) < q:
                     lo = mid
@@ -291,7 +284,7 @@ def _class_level(model: CongestionModel, q: float, c: float) -> float:
     """Congestion level of one class serving mass q.  A class with (almost)
     no users gets its empty-class level; roundoff may leave q slightly
     below zero or the minimum usage, which ``evaluate`` would reject."""
-    if q <= 1e-15:
+    if q <= EMPTY_CLASS_MASS:
         return model._value_capped(max(q, 0.0), c)
     return model.evaluate(q, c)
 
@@ -317,12 +310,12 @@ def prices_from_cutoffs(
     if len(cutoffs) != m:
         raise OrderError(f"expected {m} cutoffs, got {len(cutoffs)}")
     th = [float(t) for t in cutoffs]
-    if th[0] > theta_bar + 1e-12:
+    if th[0] > theta_bar + SUPPORT_END_SLACK:
         raise OrderError(f"top cutoff {th[0]} beyond support end {theta_bar}")
     for a, b in zip(th, th[1:]):
-        if b > a + 1e-15:
+        if b > a + ORDER_ROUNDOFF:
             raise OrderError(f"cutoffs must be nonincreasing, got {cutoffs}")
-    if th[-1] < -1e-15:
+    if th[-1] < -ORDER_ROUNDOFF:
         raise OrderError("cutoffs must be nonnegative")
 
     bounds = th + [0.0]
@@ -334,19 +327,19 @@ def prices_from_cutoffs(
     for i in range(1, m):
         prices.append(prices[i - 1] - th[i] * (levels[i] - levels[i - 1]))
 
-    degenerate = any(a - b <= _TIE_TOL for a, b in zip(th, bounds[1:]))
+    degenerate = any(a - b <= TIE_TOL for a, b in zip(th, bounds[1:]))
     if enforce_order:
         for a, b in zip(prices, prices[1:]):
-            if b > a + _PRICE_TOL:
+            if b > a + PRICE_TOL:
                 raise OrderError(f"cutoffs {cutoffs} induce increasing prices {prices}")
-        if prices[-1] < -_PRICE_TOL:
+        if prices[-1] < -PRICE_TOL:
             raise OrderError(f"cutoffs {cutoffs} induce a negative bottom price")
         for i in range(m - 1):
-            if levels[i] > levels[i + 1] + _PRICE_TOL:
+            if levels[i] > levels[i + 1] + PRICE_TOL:
                 raise OrderError(
                     f"congestion levels {levels} violate premium ordering at class {i + 1}"
                 )
-    saturated = th[0] >= theta_bar - 1e-14
+    saturated = th[0] >= theta_bar - SATURATION_SLACK
     return Equilibrium(
         cutoffs=tuple(th),
         prices=tuple(prices),
@@ -376,10 +369,10 @@ def cutoffs_from_prices(scenario: MarketScenario, prices: Sequence[float]) -> Eq
     if len(prices) != m:
         raise OrderError(f"expected {m} prices, got {len(prices)}")
     p = [float(x) for x in prices]
-    if p[0] > scenario.v + 1e-12:
+    if p[0] > scenario.v + ACCESS_VALUE_SLACK:
         raise OrderError(f"top price {p[0]} exceeds access value {scenario.v}")
     for a, b in zip(p, p[1:]):
-        if b > a + 1e-15:
+        if b > a + ORDER_ROUNDOFF:
             raise OrderError(f"prices must be nonincreasing, got {prices}")
     if p[-1] < 0.0:
         raise OrderError(f"prices must be nonnegative, got {prices}")
@@ -464,7 +457,7 @@ def _solve_linear(a, b):
             mag = abs(m[r][col])
             if mag > big:
                 piv, big = r, mag
-        if big < 1e-300:
+        if big < SINGULAR_PIVOT:
             return None
         m[col], m[piv] = m[piv], m[col]
         inv = 1.0 / m[col][col]
@@ -507,7 +500,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     caps = [g.caps[0] for g in act_groups]
     n = len(act_groups)
     min_q = model.min_usage()
-    slope_at = min_q + _SLOPE_FLOOR
+    slope_at = min_q + SLOPE_FLOOR
     latency = model.kind in ("latency", "general_latency")
 
     def residual(x, pinned):
@@ -548,7 +541,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
         # so latency classes start inside their service domains
-        qs = [max(min(0.4 * c, 0.8 / n), min_q * 1.2 + 1e-4) for c in caps]
+        qs = [max(min(0.4 * c, 0.8 / n), min_q * 1.2 + SEED_USAGE_PAD) for c in caps]
         total = sum(qs)
         if total > 0.9:
             qs = [q * 0.9 / total for q in qs]
@@ -559,7 +552,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
             xs[i] = dist.quantile(min(cum, 1.0)) * 0.98
         for i in range(n - 2, -1, -1):
             if xs[i] <= xs[i + 1]:
-                xs[i] = min(xs[i + 1] * 1.05 + 1e-6, theta_bar)
+                xs[i] = min(xs[i + 1] * 1.05 + SEED_CUTOFF_GAP, theta_bar)
         return xs
 
     def run(pinned, seed=None):
@@ -572,25 +565,25 @@ def _newton_chain(scenario: MarketScenario, act_groups):
             x[0] = theta_bar
         top_cap = theta_bar * (3.0 if not pinned else 1.0)
         off = 1 if pinned else 0
-        for _ in range(_NEWTON_ITERATIONS):
+        for _ in range(NEWTON_ITERATIONS):
             got = residual(x, pinned)
             if got is None:
                 return None
             res, ks, qs = got
-            if max(abs(r) for r in res) < _NEWTON_CONVERGED:
+            if max(abs(r) for r in res) < NEWTON_CONVERGED:
                 return x, ks, qs
             step = _solve_linear(jacobian(x, ks, qs, pinned), [-r for r in res])
             if step is None:
                 return None
             lam = 1.0
             base = list(x)
-            for _damp in range(_NEWTON_HALVINGS):
+            for _damp in range(NEWTON_HALVINGS):
                 trial = list(base)
                 for k, s in enumerate(step):
                     trial[k + off] = base[k + off] + lam * s
                 ok = all(
-                    trial[i] > trial[i + 1] - 1e-15 for i in range(n - 1)
-                ) and trial[-1] >= -1e-15 and trial[0] <= top_cap
+                    trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)
+                ) and trial[-1] >= -ORDER_ROUNDOFF and trial[0] <= top_cap
                 if ok:
                     x = [min(max(t, 0.0), top_cap) for t in trial]
                     break
@@ -604,7 +597,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     if out is None:
         out = run(pinned=False)
     saturated = False
-    if out is not None and out[0][0] > theta_bar + 1e-12:
+    if out is not None and out[0][0] > theta_bar + SUPPORT_END_SLACK:
         out = None
         saturated = True
     if out is None:
@@ -615,19 +608,19 @@ def _newton_chain(scenario: MarketScenario, act_groups):
             return ("fail", None)
         x, ks, qs = got
         slack = v - prices[0] - theta_bar * ks[0]
-        if slack < -1e-9:
+        if slack < -PRICE_TOL:
             return ("fail", None)
         saturated = True
     else:
         x, ks, qs = out
-        saturated = x[0] >= theta_bar - 1e-14
+        saturated = x[0] >= theta_bar - SATURATION_SLACK
 
     # collapsed interval -> that group should be empty
     xs = list(x) + [0.0]
     for i in range(n):
-        if xs[i] - xs[i + 1] <= _NEWTON_COLLAPSE:
+        if xs[i] - xs[i + 1] <= NEWTON_COLLAPSE:
             return ("corner", i)
-    if any(q < min_q - 1e-12 for q in qs):
+    if any(q < min_q - NEWTON_MIN_USAGE_SLACK for q in qs):
         return ("fail", None)
     return ("ok", (list(x), list(ks), saturated))
 
@@ -636,7 +629,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
 
 def _bisect(rising, lo, hi, steps):
     """Up to ``steps`` bisection steps on [lo, hi], stopping once the bracket
-    is narrower than ``_THETA_TOL``; returns (lo, hi, the value at lo, or
+    is narrower than ``THETA_TOL``; returns (lo, hi, the value at lo, or
     None if lo never moved)."""
     r_lo = None
     for _ in range(steps):
@@ -646,7 +639,7 @@ def _bisect(rising, lo, hi, steps):
             lo, r_lo = mid, r_mid
         else:
             hi = mid
-        if hi - lo < _THETA_TOL:
+        if hi - lo < THETA_TOL:
             break
     return lo, hi, r_lo
 
@@ -655,16 +648,17 @@ def _boundary_root(rising, top, more_steps):
     """Bracket the root of ``rising`` on [0, top]; returns (lo, hi), hi the root.
 
     ``rising(b)`` increases with b, or is None below a feasibility threshold,
-    which counts as negative.  24 bisection steps isolate the root.  When
-    the lower end is then feasible and negative, brentq finishes the
-    bracket; otherwise ``more_steps`` further bisection steps run.
+    which counts as negative.  ``BOUNDARY_BISECT_STEPS`` bisection steps
+    isolate the root.  When the lower end is then feasible and negative,
+    brentq finishes the bracket; otherwise ``more_steps`` further bisection
+    steps run.
     """
-    lo, hi, r_lo = _bisect(rising, 0.0, top, 24)
-    if r_lo is not None and r_lo < 0.0 and hi - lo > _THETA_TOL:
+    lo, hi, r_lo = _bisect(rising, 0.0, top, BOUNDARY_BISECT_STEPS)
+    if r_lo is not None and r_lo < 0.0 and hi - lo > THETA_TOL:
         # feasible bracket isolated: hand it to a superlinear root finder
         return lo, brentq(
             lambda b: (lambda r: r if r is not None else -1.0)(rising(b)),
-            lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL, maxiter=_BRENT_MAXITER,
+            lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER,
         )
     return _bisect(rising, lo, hi, more_steps)[:2]
 
@@ -727,7 +721,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
             return seen[top][1]
         if r_top < 0.0:
             return active[j]
-        lo, hi = _boundary_root(resid, top, 56)
+        lo, hi = _boundary_root(resid, top, INNER_EXTRA_STEPS)
         # a genuine root has a feasible negative residual just below it;
         # a feasibility threshold (some deeper group losing its last user)
         # makes the residual jump sign without crossing zero, and the
@@ -762,11 +756,11 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
     if e_bar <= 0.0:
         return [theta_bar] + sub_bar[0], sub_bar[1], True
 
-    lo, hi = _boundary_root(lambda t: top_excess(t)[0], theta_bar, 76)
+    lo, hi = _boundary_root(lambda t: top_excess(t)[0], theta_bar, TOP_EXTRA_STEPS)
     e_fin, sub_fin = top_excess(hi)
     if e_fin is None:
         return sub_fin
-    if abs(e_fin) > 1e-6 * max(1.0, v):
+    if abs(e_fin) > CHAIN_RESIDUAL_TOL * max(1.0, v):
         e_lo, sub_lo = top_excess(lo)
         if e_lo is None:
             return sub_lo
@@ -802,7 +796,7 @@ def _check_no_deviation(scenario: MarketScenario, groups, sol: _ChainSolution) -
             continue
         floor = g.floor_level(model)
         for theta in breakpoints:
-            if v - g.price - theta * floor > envelope(theta) + 1e-7:
+            if v - g.price - theta * floor > envelope(theta) + DEVIATION_SLACK:
                 raise NoEquilibriumError(
                     f"class group priced {g.price} cannot be empty at these prices"
                 )
@@ -853,7 +847,7 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
 
     degenerate = bool(sol.dropped)
     for a, b in zip(cutoffs, cutoffs[1:] + [0.0]):
-        if a - b <= _TIE_TOL:
+        if a - b <= TIE_TOL:
             degenerate = True
 
     eq = Equilibrium(
@@ -872,7 +866,7 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
 def _verify_residuals(scenario: MarketScenario, eq: Equilibrium) -> None:
     rep = validate(scenario, eq)
     worst = max((abs(r) for r in rep.c3_residuals), default=0.0)
-    if worst > 100 * _PRICE_TOL:
+    if worst > SOLVED_RESIDUAL_TOL:
         raise ConvergenceError(f"indifference residual {worst:.3e} above tolerance")
 
 
@@ -910,19 +904,19 @@ def validate(scenario: MarketScenario, eq: Equilibrium) -> ConstraintReport:
     """
     th = list(eq.cutoffs) + [0.0]
     gaps = [a - b for a, b in zip(th, th[1:])]
-    ties = tuple(i for i, gapv in enumerate(gaps) if abs(gapv) <= _TIE_TOL)
+    ties = tuple(i for i, gapv in enumerate(gaps) if abs(gapv) <= TIE_TOL)
     c1_min = min(gaps) if gaps else 0.0
-    c1_ok = all(gapv > -_TIE_TOL for gapv in gaps)
+    c1_ok = all(gapv > -TIE_TOL for gapv in gaps)
 
     c2_violation = 0.0
     for i in range(eq.m - 1):
-        if eq.usages[i] <= _TIE_TOL or eq.usages[i + 1] <= _TIE_TOL:
+        if eq.usages[i] <= TIE_TOL or eq.usages[i + 1] <= TIE_TOL:
             continue
         c2_violation = max(c2_violation, eq.levels[i] - eq.levels[i + 1])
-    c2_ok = c2_violation <= _PRICE_TOL
+    c2_ok = c2_violation <= PRICE_TOL
 
     residuals = []
-    lead = next((i for i in range(eq.m) if eq.usages[i] > _TIE_TOL), None)
+    lead = next((i for i in range(eq.m) if eq.usages[i] > TIE_TOL), None)
     if lead is None:
         residuals.append(0.0)  # empty market: no participation equation binds
     else:
@@ -932,8 +926,8 @@ def validate(scenario: MarketScenario, eq: Equilibrium) -> ConstraintReport:
         else:
             residuals.append(top)
     for i in range(1, eq.m):
-        upper_empty = eq.usages[i - 1] <= _TIE_TOL
-        lower_empty = eq.usages[i] <= _TIE_TOL
+        upper_empty = eq.usages[i - 1] <= TIE_TOL
+        lower_empty = eq.usages[i] <= TIE_TOL
         lhs = eq.prices[i - 1] - eq.prices[i]
         rhs = th[i] * (eq.levels[i] - eq.levels[i - 1])
         if upper_empty and lower_empty:
@@ -945,7 +939,7 @@ def validate(scenario: MarketScenario, eq: Equilibrium) -> ConstraintReport:
             residuals.append(max(lhs - rhs, 0.0))
         else:
             residuals.append(lhs - rhs)
-    c3_ok = all(abs(r) <= _PRICE_TOL for r in residuals)
+    c3_ok = all(abs(r) <= PRICE_TOL for r in residuals)
 
     return ConstraintReport(
         c1_ok=c1_ok,

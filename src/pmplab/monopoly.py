@@ -22,6 +22,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._tolerances import (
+    BASELINE_BEAT_MARGIN, BOTTOM_PRICE_SLACK, CUTOFF_ASCENT_GAIN, CUTOFF_GAP,
+    CUTOFF_XTOL, FREE_PRICE_ROUNDS, NONEMPTY_USAGE, PLATEAU_TOL, PRICE_XTOL,
+    PROBE_CUTOFF_GAP, PROBE_DELTA, PROBE_DELTA_FLOOR, SEED_PRICE_XTOL, SPLIT_SUM_TOL,
+)
 from .congestion import (
     INDIFFERENT,
     MULTIPLEXING_PREFERRED,
@@ -62,7 +67,6 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_PLATEAU_TOL = 1e-12
 
 
 def _objective_fn(scenario: MarketScenario, objective: str) -> Callable[[Equilibrium], float]:
@@ -95,12 +99,12 @@ def _golden_max(f, lo, hi, xtol):
     return x, f(x)
 
 
-def _grid_golden_max(f, lo, hi, n=512, xtol=1e-7):
+def _grid_golden_max(f, lo, hi, n, xtol):
     """Global scan + local refinement + plateau edge resolution.
 
     ``f`` may return None for infeasible points; those are skipped and
-    counted.  On value ties (within 1e-12) the largest maximizer wins, and
-    a final bisection walks to the right edge of any plateau.
+    counted.  On value ties (within ``PLATEAU_TOL``) the largest maximizer
+    wins, and a final bisection walks to the right edge of any plateau.
 
     Returns (argmax, value, skipped_count).
     """
@@ -110,7 +114,7 @@ def _grid_golden_max(f, lo, hi, n=512, xtol=1e-7):
     best = max((v for v in vals if v is not None), default=None)
     if best is None:
         return None, None, skipped
-    i_best = max(i for i, v in enumerate(vals) if v is not None and v >= best - _PLATEAU_TOL)
+    i_best = max(i for i, v in enumerate(vals) if v is not None and v >= best - PLATEAU_TOL)
 
     a = xs[max(i_best - 1, 0)]
     b = xs[min(i_best + 1, n)]
@@ -121,7 +125,7 @@ def _grid_golden_max(f, lo, hi, n=512, xtol=1e-7):
 
     # plateau: push the reported argmax to the right edge
     if hi > x_star:
-        ge = lambda x: (lambda v: v is not None and v >= v_star - _PLATEAU_TOL)(f(x))
+        ge = lambda x: (lambda v: v is not None and v >= v_star - PLATEAU_TOL)(f(x))
         if ge(hi):
             x_star = hi
         else:
@@ -147,7 +151,6 @@ def maximize_single_price(
     scenario: MarketScenario,
     objective: str = "profit",
     grid: int = 512,
-    xtol: float = 1e-7,
 ):
     """Best single-class price on [0, V].
 
@@ -165,7 +168,7 @@ def maximize_single_price(
         except PmplabError:
             return None
 
-    p_star, value, _ = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=xtol)
+    p_star, value, _ = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=PRICE_XTOL)
     if p_star is None:
         raise ConvergenceError("no feasible price found on the grid")
     return p_star, value
@@ -197,7 +200,6 @@ def ratio_sweep(
     a_grid: Sequence[float],
     objective: str = "profit",
     grid: int = 512,
-    xtol: float = 1e-7,
 ) -> SweepCurve:
     """Sweep the price ratio a, maximizing over the premium price each time.
 
@@ -222,20 +224,18 @@ def ratio_sweep(
             except PmplabError:
                 return None
 
-        p_star, value, skipped = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=xtol)
+        p_star, value, skipped = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=PRICE_XTOL)
         if p_star is None:
             raise NoEquilibriumError(f"no feasible premium price at ratio {a}")
         points.append(SweepPoint(float(a), value, p_star, skipped))
 
-    base_p, base_v = maximize_single_price(scenario.merged(), objective, grid, xtol)
+    base_p, base_v = maximize_single_price(scenario.merged(), objective, grid)
     return SweepCurve(objective, tuple(points), base_v, base_p)
 
 
 def maximize_free_prices(
     scenario: MarketScenario,
     objective: str = "profit",
-    rounds: int = 40,
-    xtol: float = 1e-9,
 ):
     """Unconstrained price-vector maximization via cutoff-space ascent.
 
@@ -255,7 +255,7 @@ def maximize_free_prices(
             eq = prices_from_cutoffs(scenario, th)
         except PmplabError:
             return None, None
-        if eq.prices[-1] < -1e-12:
+        if eq.prices[-1] < -BOTTOM_PRICE_SLACK:
             return None, None
         return value_of(eq), eq
 
@@ -265,7 +265,8 @@ def maximize_free_prices(
         except PmplabError:
             return None
 
-    p_ident, v_ident, _ = _grid_golden_max(f_ident, 0.0, scenario.v, n=256, xtol=1e-8)
+    p_ident, v_ident, _ = _grid_golden_max(f_ident, 0.0, scenario.v, n=256,
+                                           xtol=SEED_PRICE_XTOL)
     seeds = []
     if p_ident is not None:
         seeds.append(identical_price_equilibrium(scenario, p_ident).cutoffs)
@@ -278,11 +279,11 @@ def maximize_free_prices(
         val, _ = eval_cutoffs(th)
         if val is None:
             continue
-        for _ in range(rounds):
+        for _ in range(FREE_PRICE_ROUNDS):
             improved = False
             for i in range(m):
-                hi = theta_bar if i == 0 else th[i - 1] - 1e-12
-                lo = th[i + 1] + 1e-12 if i + 1 < m else 1e-12
+                hi = theta_bar if i == 0 else th[i - 1] - CUTOFF_GAP
+                lo = th[i + 1] + CUTOFF_GAP if i + 1 < m else CUTOFF_GAP
                 if hi <= lo:
                     continue
 
@@ -292,8 +293,9 @@ def maximize_free_prices(
                     v, _ = eval_cutoffs(trial)
                     return v
 
-                t_star, v_star, _ = _grid_golden_max(g, lo, hi, n=32, xtol=xtol)
-                if t_star is not None and v_star is not None and v_star > val + 1e-13:
+                t_star, v_star, _ = _grid_golden_max(g, lo, hi, n=32, xtol=CUTOFF_XTOL)
+                if (t_star is not None and v_star is not None
+                        and v_star > val + CUTOFF_ASCENT_GAIN):
                     th[i] = t_star
                     val = v_star
                     improved = True
@@ -338,7 +340,7 @@ def partition_comparison(
     """
     if scenario.m != 1:
         raise PreconditionError("partition_comparison needs a single-class base scenario")
-    if abs(sum(split) - scenario.capacities[0]) > 1e-9:
+    if abs(sum(split) - scenario.capacities[0]) > SPLIT_SUM_TOL:
         raise DomainError(f"split {split} does not sum to capacity {scenario.capacities[0]}")
     if not 0.0 <= price <= scenario.v:
         raise DomainError(f"price {price} outside [0, {scenario.v}]")
@@ -377,7 +379,7 @@ class ProbeResult:
 def local_improvement_probe(
     scenario: MarketScenario,
     price: float,
-    delta: float = 1e-3,
+    delta: float = PROBE_DELTA,
     direction: Optional[int] = None,
 ) -> ProbeResult:
     """Nudge the class boundary away from identical pricing and remeasure.
@@ -401,10 +403,10 @@ def local_improvement_probe(
     if scenario.m != 2:
         raise PreconditionError("the probe needs a two-class scenario")
     eq = identical_price_equilibrium(scenario, price)
-    if any(q <= 1e-9 for q in eq.usages):
+    if any(q <= NONEMPTY_USAGE for q in eq.usages):
         raise PreconditionError("both classes must be nonempty at the probe price")
     th1, th2 = eq.cutoffs
-    if th2 <= 1e-9 or th1 - th2 <= 1e-9:
+    if th2 <= PROBE_CUTOFF_GAP or th1 - th2 <= PROBE_CUTOFF_GAP:
         raise PreconditionError("degenerate identical-pricing equilibrium")
 
     case = monotone_case(scenario.model, scenario.capacities, eq.usages)
@@ -427,7 +429,7 @@ def local_improvement_probe(
 
     d = abs(delta)
     last = None
-    while d >= 1e-6 - 1e-15:
+    while d >= PROBE_DELTA_FLOOR:
         th2_new = th2 + use_dir * d
         if 0.0 < th2_new < th1:
             pert = prices_from_cutoffs(scenario, (th1, th2_new), enforce_order=False)
@@ -501,7 +503,7 @@ def viability_report(
                 eq = identical_price_equilibrium(split_sc, p)
             except PmplabError:
                 continue
-            if any(q <= 1e-9 for q in eq.usages):
+            if any(q <= NONEMPTY_USAGE for q in eq.usages):
                 continue
             cases.append((p, monotone_case(scenario.model, split, eq.usages)))
 
@@ -517,7 +519,7 @@ def viability_report(
     monotone_ok = bool(cases) and len(consistent) <= 1 and "Neither" not in consistent
 
     never_beats = all(
-        curve.best().best_value <= curve.baseline_single + 1e-6
+        curve.best().best_value <= curve.baseline_single + BASELINE_BEAT_MARGIN
         for curve in sweeps.values()
     ) if sweeps else False
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+from ._tolerances import CDF_ROUNDOFF, TABLE_END_TOL
 from .errors import DomainError
 
 __all__ = ["TypeDistribution", "uniform", "tabulated", "tabulated_from_file"]
@@ -40,7 +41,8 @@ class TypeDistribution:
             pts = self.points
             if len(pts) < 2 or pts[0] != (0.0, 0.0):
                 raise DomainError("tabulated CDF must start at (0, 0)")
-            if abs(pts[-1][0] - self.support_end) > 1e-15 or abs(pts[-1][1] - 1.0) > 1e-12:
+            if (abs(pts[-1][0] - self.support_end) > TABLE_END_TOL
+                    or abs(pts[-1][1] - 1.0) > CDF_ROUNDOFF):
                 raise DomainError("tabulated CDF must end at (support_end, 1)")
             for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
                 if x1 <= x0 or f1 <= f0:
@@ -83,7 +85,7 @@ class TypeDistribution:
 
     def quantile(self, q: float) -> float:
         """Inverse CDF: the type theta with F(theta) = q."""
-        if not 0.0 <= q <= 1.0 + 1e-12:
+        if not 0.0 <= q <= 1.0 + CDF_ROUNDOFF:
             raise DomainError(f"quantile argument must lie in [0, 1], got {q}")
         q = min(q, 1.0)
         if self.kind == "uniform":

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import congestion as cg
+from ._tolerances import PROBE_DELTA, SCALING_GAP_TOL
 from .errors import ScenarioError
 from .population import TypeDistribution, tabulated_from_file, uniform
 
@@ -61,8 +62,8 @@ class ScenarioFile:
     a_grid: tuple = tuple(k / 20 for k in range(21))
     p_grid: int = 64
     pi_grid: int = 17
-    delta: float = 1e-3
-    tol: float = 1e-9
+    delta: float = PROBE_DELTA
+    tol: float = SCALING_GAP_TOL
     duopoly_cap_i: Optional[float] = None
     duopoly_cap_ii: Optional[float] = None
 
@@ -82,6 +83,12 @@ def _parse_call(text, line):
     return name, kwargs
 
 
+def _reject_unread(kw, what, line):
+    """Descriptor parameters left after parsing are unknown to ``what``."""
+    if kw:
+        raise ScenarioError(f"{what} has no parameter {', '.join(map(repr, kw))}", line)
+
+
 def _num(value, line, kind=float):
     try:
         return kind(value)
@@ -93,41 +100,47 @@ def _parse_model(text, line):
     name, kw = _parse_call(text, line)
     try:
         if name == "utilization":
-            return cg.utilization()
-        if name == "latency":
-            return cg.latency()
-        if name == "general_latency":
-            return cg.general_latency(_num(kw.pop("delta2"), line))
-        if name == "loss":
-            return cg.loss(_num(kw.pop("kappa"), line, int))
-        if name == "outage":
-            return cg.outage(_num(kw.pop("eps"), line))
-        if name == "utilization_default":
-            return cg.utilization_default(_num(kw.pop("eps"), line))
+            model = cg.utilization()
+        elif name == "latency":
+            model = cg.latency()
+        elif name == "general_latency":
+            model = cg.general_latency(_num(kw.pop("delta2"), line))
+        elif name == "loss":
+            model = cg.loss(_num(kw.pop("kappa"), line, int))
+        elif name == "outage":
+            model = cg.outage(_num(kw.pop("eps"), line))
+        elif name == "utilization_default":
+            model = cg.utilization_default(_num(kw.pop("eps"), line))
+        else:
+            raise ScenarioError(f"unknown model {name!r}", line)
     except KeyError as missing:
         raise ScenarioError(f"model {name!r} needs parameter {missing}", line) from None
     except cg.DomainError as exc:
         raise ScenarioError(str(exc), line) from None
-    raise ScenarioError(f"unknown model {name!r}", line)
+    _reject_unread(kw, f"model {name!r}", line)
+    return model
 
 
 def _parse_distribution(text, line, base_dir):
     name, kw = _parse_call(text, line)
     try:
         if name == "uniform":
-            return uniform(_num(kw.pop("theta_bar", "1.0"), line))
-        if name == "tabulated":
+            dist = uniform(_num(kw.pop("theta_bar", "1.0"), line))
+        elif name == "tabulated":
             path = kw.pop("file")
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
-            return tabulated_from_file(path)
+            dist = tabulated_from_file(path)
+        else:
+            raise ScenarioError(f"unknown distribution {name!r}", line)
     except KeyError as missing:
         raise ScenarioError(f"distribution {name!r} needs parameter {missing}", line) from None
     except OSError as exc:
         raise ScenarioError(f"cannot read distribution file: {exc}", line) from None
     except cg.DomainError as exc:
         raise ScenarioError(str(exc), line) from None
-    raise ScenarioError(f"unknown distribution {name!r}", line)
+    _reject_unread(kw, f"distribution {name!r}", line)
+    return dist
 
 
 def _parse_grid(text, line):
@@ -211,12 +224,12 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         out.tol = _num(raw["tol"][0], raw["tol"][1])
         if out.tol <= 0:
             raise ScenarioError("tol must be positive", raw["tol"][1])
-    for cap_key, attr in (("duopoly_cap_i", "duopoly_cap_i"), ("duopoly_cap_ii", "duopoly_cap_ii")):
+    for cap_key in ("duopoly_cap_i", "duopoly_cap_ii"):
         if cap_key in raw:
             val = _num(raw[cap_key][0], raw[cap_key][1])
             if val < 0:
                 raise ScenarioError(f"{cap_key} must be nonnegative", raw[cap_key][1])
-            setattr(out, attr, val)
+            setattr(out, cap_key, val)
     return out
 
 

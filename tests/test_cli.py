@@ -75,6 +75,29 @@ def test_parse_rejects_duplicate_and_malformed():
         parse_scenario_text("model = loss\nV = 2.0\n")  # missing kappa
 
 
+@pytest.mark.parametrize("descriptor, unknown", [
+    ("model = utilization(eps=0.05)", "eps"),
+    ("model = outage(eps=0.5, kappa=2)", "kappa"),
+    ("distribution = uniform(theta_bar=1.0, width=3)", "width"),
+    ("distribution = tabulated(file=cdf.txt, kind=linear)", "kind"),
+])
+def test_parse_rejects_unknown_descriptor_parameter_with_line(tmp_path, descriptor,
+                                                             unknown):
+    (tmp_path / "cdf.txt").write_text("0 0\n0.5 0.8\n1 1\n")
+    model = "" if descriptor.startswith("model") else "model = latency\n"
+    text = f"V = 2.0\n# the descriptor sits on line 3\n{descriptor}\n{model}"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text, base_dir=str(tmp_path))
+    assert err.value.line == 3
+    assert repr(unknown) in str(err.value)
+
+
+def test_unknown_descriptor_parameter_is_an_input_error(tmp_path, capsys):
+    scen = write(tmp_path, "model = utilization(eps=0.05)\nV = 2.0\n")
+    assert main(["classify", "--scenario", scen, "--out", str(tmp_path)]) == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 def test_parse_grid_specs():
     sf = parse_scenario_text("model = latency\nV = 2\na_grid = 0:1:5\n")
     assert sf.a_grid == (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -223,3 +246,13 @@ def test_partition_with_a_tiny_outage_class_exits_cleanly(tmp_path):
     code = main(["partition", "--scenario", scen, "--out", str(tmp_path)])
     assert code in (0, 3)
     assert (tmp_path / "partition.csv").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-3"])
+@pytest.mark.parametrize("command", ["sweep", "partition", "probe", "duopoly"])
+def test_grid_below_two_is_an_input_error(tmp_path, capsys, command, grid):
+    scen = write(tmp_path, UTL_TWO + "duopoly_cap_i = 1.0\nduopoly_cap_ii = 1.0\n")
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scen, "--out", str(out), "--grid", grid]) == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()

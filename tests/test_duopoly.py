@@ -185,6 +185,43 @@ def test_nash_budget_exhaustion_reported():
     assert err.value.trajectory
 
 
+# separable stand-in profits: provider I's peaks at price 1.0; provider II's
+# at price 1.2 for one class, and at prices (1.2, 0.8) with a premium share
+# of 0.3 for two, so moving one coordinate spoils only its own check
+def _peaked_profit_i(_duo, p_i, _strat_ii):
+    return -(p_i - 1.0) ** 2
+
+
+def _peaked_profit_ii(_duo, _p_i, strat):
+    cls = strat.classes
+    value = -sum((p - target) ** 2 for (p, _c), target in zip(cls, (1.2, 0.8)))
+    if len(cls) == 2:
+        value -= (cls[0][1] / (cls[0][1] + cls[1][1]) - 0.3) ** 2
+    return value
+
+
+_BEST_TWO = ProviderStrategy.two(1.2, 0.3, 0.8, 0.7)
+
+
+@pytest.mark.parametrize("p_i, strat_ii, verified", [
+    (1.0, ProviderStrategy(()), True),
+    (1.0, ProviderStrategy.one(1.2, 1.0), True),
+    (1.0, _BEST_TWO, True),
+    (1.01, ProviderStrategy(()), False),
+    (1.01, _BEST_TWO, False),
+    (1.0, ProviderStrategy.one(1.21, 1.0), False),
+    (1.0, ProviderStrategy.two(1.21, 0.3, 0.8, 0.7), False),
+    (1.0, ProviderStrategy.two(1.2, 0.3, 0.79, 0.7), False),
+    (1.0, ProviderStrategy.two(1.2, 0.35, 0.8, 0.65), False),
+], ids=["best-absent", "best-one", "best-two", "I-absent", "I", "II-one-price",
+        "II-premium-price", "II-economy-price", "II-split"])
+def test_nash_verification_rejects_each_unilateral_improvement(p_i, strat_ii, verified,
+                                                                monkeypatch):
+    monkeypatch.setattr(duo, "_profit_i", _peaked_profit_i)
+    monkeypatch.setattr(duo, "_profit_ii", _peaked_profit_ii)
+    assert duo._verify_nash(UTL, p_i, strat_ii) is verified
+
+
 # ---------------------------------------------------------------------------
 # curves
 # ---------------------------------------------------------------------------

@@ -3,9 +3,16 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pmplab import _tolerances as tol
 from pmplab import congestion as cg
 from pmplab import equilibrium as eqm
-from pmplab.errors import DomainError, OrderError, PmplabError
+from pmplab.errors import (
+    ConvergenceError,
+    DomainError,
+    NoEquilibriumError,
+    OrderError,
+    PmplabError,
+)
 from pmplab.population import tabulated, uniform
 
 
@@ -579,12 +586,12 @@ def _ref_inner_search(resid, top):
             lo, r_lo_val = mid, r_mid
         else:
             hi = mid
-        if hi - lo < eqm._THETA_TOL:
+        if hi - lo < tol.THETA_TOL:
             break
-    if r_lo_val is not None and r_lo_val < 0.0 and hi - lo > eqm._THETA_TOL:
+    if r_lo_val is not None and r_lo_val < 0.0 and hi - lo > tol.THETA_TOL:
         hi = eqm.brentq(
             lambda b: (lambda rv: rv if rv is not None else -1.0)(resid(b)),
-            lo, hi, xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER,
+            lo, hi, xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER,
         )
     else:
         for _ in range(56):
@@ -594,7 +601,7 @@ def _ref_inner_search(resid, top):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < eqm._THETA_TOL:
+            if hi - lo < tol.THETA_TOL:
                 break
     return lo, hi
 
@@ -610,12 +617,12 @@ def _ref_top_search(gap, top):
             lo, g_lo_val = mid, g_mid
         else:
             hi = mid
-        if hi - lo < eqm._THETA_TOL:
+        if hi - lo < tol.THETA_TOL:
             break
-    if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > eqm._THETA_TOL:
+    if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > tol.THETA_TOL:
         hi = eqm.brentq(
             lambda t: (lambda gv: gv if gv is not None else 1.0)(gap(t)),
-            lo, hi, xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER,
+            lo, hi, xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER,
         )
     else:
         for _ in range(76):
@@ -625,7 +632,7 @@ def _ref_top_search(gap, top):
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < eqm._THETA_TOL:
+            if hi - lo < tol.THETA_TOL:
                 break
     return lo, hi
 
@@ -677,7 +684,7 @@ def test_brentq_iterates_ignore_a_sign_flip(root, scale, curve, below, width):
 
     def logged(g, out):
         return lambda x: out.append(x) or g(x)
-    kw = dict(xtol=eqm._BRENT_XTOL, rtol=eqm._BRENT_RTOL, maxiter=eqm._BRENT_MAXITER)
+    kw = dict(xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER)
     a = eqm.brentq(logged(f, xs), lo, hi, **kw)
     b = eqm.brentq(logged(lambda x: -f(x), neg_xs), lo, hi, **kw)
     assert float.hex(a) == float.hex(b)
@@ -724,6 +731,22 @@ def test_outage_tie_group_with_a_tiny_member_does_not_overflow():
         eq = eqm.cutoffs_from_prices(
             sc, [0.7212304803820815, 0.7212304803820815, 0.3183189438658576])
     except PmplabError:
+        return
+    assert eqm.validate(sc, eq).all_ok
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ConvergenceError,
+    reason="the chain solve returns a point that fails its own residual check "
+    "(indifference residual 2.738e-01) when a tie group has a near-empty member",
+)
+def test_outage_tie_group_with_a_tiny_member_solves_or_has_no_equilibrium():
+    sc = eqm.MarketScenario(
+        1.0, (0.2762514337328343, 3.023602266400793e-05, 0.48243877707154764), cg.outage(0.5))
+    try:
+        eq = eqm.cutoffs_from_prices(
+            sc, [0.7212304803820815, 0.7212304803820815, 0.3183189438658576])
+    except NoEquilibriumError:
         return
     assert eqm.validate(sc, eq).all_ok
 
