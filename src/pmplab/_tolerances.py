@@ -14,9 +14,10 @@ DIVERGED_LEVEL = 1e12
 # bisection steps that invert a congestion level to a usage: the loss kind's
 # inverse and a tie group's pooled level
 LEVEL_INVERSION_STEPS = 80
-# central-difference step of CongestionModel.marginal, absolute and relative
-# to the capacity: max(step, step * c)
-MARGINAL_FD_STEP = 1e-6
+# a tie group's level bracket starts at max(2 floor, this) and gives up,
+# returning its current top, once it passes the cap
+LEVEL_BRACKET_START = 1e-6
+LEVEL_BRACKET_CAP = 1e14
 # classify_scaling: a scale-down gap beyond this counts as a strict change;
 # also the scenario file's ``tol`` default
 SCALING_GAP_TOL = 1e-9
@@ -80,10 +81,6 @@ TOP_EXTRA_STEPS = 76       # further steps on the top cutoff brentq cannot take
 BRENT_XTOL = 1e-13
 BRENT_RTOL = 8.9e-16
 BRENT_MAXITER = 120
-# a tie group's level bracket starts at max(2 floor, this) and gives up,
-# returning its current top, once it passes the cap
-LEVEL_BRACKET_START = 1e-6
-LEVEL_BRACKET_CAP = 1e14
 # top-cutoff residual the bisection accepts, relative to max(1, V)
 CHAIN_RESIDUAL_TOL = 1e-6
 

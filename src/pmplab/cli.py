@@ -64,6 +64,19 @@ def _need(sf: ScenarioFile, attr, what, command):
     return value
 
 
+def _rows_over_prices(prices, row):
+    """``row(p)`` for each price; a price whose computation fails is named on
+    stderr and skipped.  None when more than a tenth of the prices failed."""
+    rows, failures = [], 0
+    for p in prices:
+        try:
+            rows.append(row(p))
+        except PmplabError as exc:
+            failures += 1
+            print(f"p={p:.9g}: {exc}", file=sys.stderr)
+    return None if failures > 0.1 * len(prices) else rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -159,17 +172,13 @@ def _cmd_partition(sf: ScenarioFile, args) -> int:
     n = args.grid or sf.p_grid
     prices = [sf.v * k / n for k in range(n + 1)]
 
-    rows, failures = [], 0
-    for p in prices:
-        try:
-            res = partition_comparison(scenario, p, split)
-        except PmplabError as exc:
-            failures += 1
-            print(f"p={p:.9g}: {exc}", file=sys.stderr)
-            continue
-        rows.append((res.price, res.single_welfare, res.single_profit,
-                     res.split_welfare, res.split_profit))
-    if failures > 0.1 * len(prices):
+    def row(p):
+        res = partition_comparison(scenario, p, split)
+        return (res.price, res.single_welfare, res.single_profit,
+                res.split_welfare, res.split_profit)
+
+    rows = _rows_over_prices(prices, row)
+    if rows is None:
         return EXIT_COMPUTE
     path = os.path.join(args.out, "partition.csv")
     _write_csv(path, "p,S_single,pi_single,S_split,pi_split", rows)
@@ -186,16 +195,12 @@ def _cmd_probe(sf: ScenarioFile, args) -> int:
     n = args.grid or 20
     prices = [sf.v * k / n for k in range(1, n)]
 
-    rows, failures = [], 0
-    for p in prices:
-        try:
-            res = local_improvement_probe(scenario, p, sf.delta)
-        except PmplabError as exc:
-            failures += 1
-            print(f"p={p:.9g}: {exc}", file=sys.stderr)
-            continue
-        rows.append((p, res.direction * res.delta, res.d_welfare, res.d_profit, res.case))
-    if failures > 0.1 * len(prices):
+    def row(p):
+        res = local_improvement_probe(scenario, p, sf.delta)
+        return (p, res.direction * res.delta, res.d_welfare, res.d_profit, res.case)
+
+    rows = _rows_over_prices(prices, row)
+    if rows is None:
         return EXIT_COMPUTE
     path = os.path.join(args.out, "probe.csv")
     _write_csv(path, "p,delta,dS,dpi,case", rows)

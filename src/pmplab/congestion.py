@@ -27,6 +27,13 @@ monotone and meaningful for Q > C (overload), and equilibrium computations
 do push class usage slightly past the nominal capacity share, so no upper
 cap is enforced for them.
 
+This module is the only one that knows the families.  Each one's value,
+slope and inverse (usage at a given level), and the common level of a tie
+group of equal-price classes, are written once, in ``_kernels``; its
+scenario-file parameter is listed once, in ``DESCRIPTOR_PARAMETERS``.  The
+solvers and the scenario parser reach the families only through
+:class:`CongestionModel` and that table, and never name a kind.
+
 Two classifiers probe the structure that decides whether splitting a class
 into smaller ones can help:
 
@@ -39,19 +46,21 @@ into smaller ones can help:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._tolerances import (
-    DIVERGED_LEVEL, LEVEL_INVERSION_STEPS, MARGINAL_FD_STEP, MONOTONE_TIE,
-    PROFILE_LEVEL_TIE, SCALING_GAP_TOL, SCALING_INDIFFERENT_TOL,
+    DIVERGED_LEVEL, LEVEL_BRACKET_CAP, LEVEL_BRACKET_START, LEVEL_INVERSION_STEPS,
+    MONOTONE_TIE, PROFILE_LEVEL_TIE, SCALING_GAP_TOL, SCALING_INDIFFERENT_TOL,
 )
-from .errors import DegenerateError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "CongestionModel",
     "ScalingClass",
     "MonotoneReport",
+    "DESCRIPTOR_PARAMETERS",
     "utilization",
     "latency",
     "general_latency",
@@ -73,15 +82,17 @@ MULTIPLEXING_PREFERRED = "MultiplexingPreferred"
 INDIFFERENT = "Indifferent"
 MIXED = "Mixed"
 
-_LATENCY_KINDS = ("latency", "general_latency")
-_ALL_KINDS = (
-    "utilization",
-    "latency",
-    "general_latency",
-    "loss",
-    "outage",
-    "utilization_default",
-)
+# Every kind, with the one parameter its descriptor takes, if any, as
+# (descriptor parameter, CongestionModel field, type).  ``describe`` prints
+# a model in this form and scenario files are parsed from it.
+DESCRIPTOR_PARAMETERS = {
+    "utilization": None,
+    "latency": None,
+    "general_latency": ("delta2", "delta2", float),
+    "loss": ("kappa", "kappa", int),
+    "outage": ("eps", "eps", float),
+    "utilization_default": ("eps", "eps_default", float),
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +110,7 @@ class CongestionModel:
     eps_default: float = 0.0  # utilization_default: default consumption >= 0
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
+        if self.kind not in DESCRIPTOR_PARAMETERS:
             raise DomainError(f"unknown congestion kind {self.kind!r}")
         if self.kind == "general_latency" and self.delta2 < 0.0:
             raise DomainError("delta2 must be nonnegative")
@@ -112,10 +123,8 @@ class CongestionModel:
         # per-kind kernels, built once: the solvers evaluate them millions of
         # times.  Plain attributes, not fields, so equality, hashing and repr
         # still see only the fields.
-        value, value_capped, slope = _kernels(self)
-        object.__setattr__(self, "_value", value)
-        object.__setattr__(self, "_value_capped", value_capped)
-        object.__setattr__(self, "_slope", slope)
+        for name, kernel in _kernels(self).items():
+            object.__setattr__(self, name, kernel)
 
     def __reduce__(self):
         # the kernels are closures: rebuild them rather than pickle them
@@ -133,7 +142,7 @@ class CongestionModel:
         lo = self.min_usage()
         if q < lo:
             raise DomainError(f"usage {q} below the minimum {lo} for kind {self.kind!r}")
-        if self.kind in _LATENCY_KINDS and q >= c:
+        if self._saturates and q >= c:
             raise DomainError(f"latency diverges at saturation: usage {q} >= capacity {c}")
 
     # -- evaluation ---------------------------------------------------------
@@ -143,116 +152,103 @@ class CongestionModel:
         self.check_domain(q, c)
         return self._value(q, c)
 
-    # -- derivatives --------------------------------------------------------
-
     def marginal(self, q: float, c: float) -> float:
-        """Slope dK/dQ at (q, c).
-
-        Utilization kinds and plain latency use their closed forms (1/c and
-        1/(c-q)^2).  The other kinds are differenced centrally with step
-        ``max(h, h c)``, h = ``MARGINAL_FD_STEP``; a :class:`DegenerateError`
-        is raised when q sits within one step of a domain boundary.
-        """
+        """Slope dK/dQ at (q, c), in closed form for every kind."""
         self.check_domain(q, c)
-        kind = self.kind
-        if kind in ("utilization", "utilization_default", "latency"):
-            return self._slope(q, c)
-        h = max(MARGINAL_FD_STEP, MARGINAL_FD_STEP * c)
-        lo = self.min_usage()
-        if q - h < lo or (kind in _LATENCY_KINDS and q + h >= c):
-            raise DegenerateError(
-                f"usage {q} within finite-difference step {h} of a domain boundary"
-            )
-        return (self._value(q + h, c) - self._value(q - h, c)) / (2.0 * h)
+        return self._slope(q, c)
 
     # -- inversion ----------------------------------------------------------
 
     def usage_at_level(self, level: float, c: float) -> float:
         """Inverse of ``evaluate`` in Q at fixed capacity.
 
-        Returns the smallest usage producing the given level; levels below
-        the empty-class floor map to the minimum usage.
+        Returns the smallest usage producing the given level; levels at or
+        below the empty-class floor map to the minimum usage.  Where a tie
+        group's level has no closed form, its bisection sums this same
+        inverse over the group's members.
         """
         if c <= 0.0:
             raise DomainError(f"capacity must be positive, got {c}")
-        floor = self.level_floor(c)
-        if level <= floor:
-            return self.min_usage()
-        kind = self.kind
-        if kind == "utilization":
-            return level * c
-        if kind == "utilization_default":
-            return level * c + self.eps_default
-        if kind == "latency":
-            return c - 1.0 / level
-        if kind == "general_latency":
-            a = 2.0 * c * level - 2.0
-            return a * c / (1.0 + self.delta2 + a)
-        if kind == "outage":
-            return c * (level ** (1.0 / c)) / self.eps
-        # loss: monotone in rho on (0, inf); cap the bracket where K -> 1
-        if level >= 1.0:
-            raise DomainError(f"loss level must be below 1, got {level}")
-        lo, hi = 0.0, 1.0
-        while self._value(hi * c, c) < level:
-            hi *= 2.0
-        for _ in range(LEVEL_INVERSION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self._value(mid * c, c) < level:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi) * c
+        return self._usage((c,))(level)
 
     def level_floor(self, c: float) -> float:
         """Level seen by the first infinitesimal user of an empty class."""
-        if self.kind in _LATENCY_KINDS:
-            return self._value(0.0, c)
-        return 0.0
+        return self._value(self.min_usage(), c)
 
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> str:
-        kind = self.kind
-        if kind == "general_latency":
-            return f"general_latency(delta2={self.delta2:g})"
-        if kind == "loss":
-            return f"loss(kappa={self.kappa})"
-        if kind == "outage":
-            return f"outage(eps={self.eps:g})"
-        if kind == "utilization_default":
-            return f"utilization_default(eps={self.eps_default:g})"
-        return kind
+        param = DESCRIPTOR_PARAMETERS[self.kind]
+        if param is None:
+            return self.kind
+        name, attr, typ = param
+        value = getattr(self, attr)
+        return f"{self.kind}({name}={value:g})" if typ is float else f"{self.kind}({name}={value})"
 
 
-def _kernels(model: CongestionModel):
-    """``(value, value_capped, slope)`` functions of ``(q, c)`` for one model.
+def _kernels(model: CongestionModel) -> dict:
+    """Every formula of one model's family, keyed by the attribute it becomes.
 
-    ``value`` is K(q, c) with no domain check.  ``value_capped`` is the
-    solver-internal evaluation: diverged latency maps to a huge finite level
-    instead of raising, sub-default usage clamps to level 0 and negative
-    usage to 0.  ``slope`` is the analytic dK/dQ.  The kind and parameters
-    are settled here, once per model, so the calls do no dispatch.
+    * ``_value(q, c)`` is K(q, c) with no domain check.
+    * ``_value_capped(q, c)`` is the solver-internal evaluation: diverged
+      latency maps to a huge finite level instead of raising, sub-default
+      usage clamps to level 0 and negative usage to 0.
+    * ``_slope(q, c)`` is the analytic dK/dQ.
+    * ``_usage(caps)`` is the inverse: a function of a common level giving
+      the summed usage of classes with capacities ``caps``, each at its
+      minimum usage where the level is at or below its empty-class floor.
+      ``usage_at_level`` is its one-class case.
+    * ``_tie_level(caps)`` is the common level of a tie group with member
+      capacities ``caps`` as a function of the mass q the group serves
+      (members share q so that their levels match: no member may offer a
+      strictly better deal at the same price).
+    * ``_saturates`` marks the latency kinds, whose level diverges as usage
+      reaches capacity.
+
+    The kind and parameters are settled here, once per model, so the calls
+    do no dispatch.
     """
     kind = model.kind
+    saturates = kind in ("latency", "general_latency")
+
     if kind in ("utilization", "utilization_default"):
+        # plain utilization is default consumption with a default of 0
+        default = model.min_usage()
+
+        def value(q, c):
+            return (q - default) / c
+
         def slope(q, c):
             return 1.0 / c
 
-        if kind == "utilization":
-            def value(q, c):
-                return q / c
-        else:
-            eps_default = model.eps_default
+        def capped(floor_usage):
+            def value_capped(q, c):
+                if q < floor_usage:
+                    return 0.0
+                return ((0.0 if q <= 0.0 else q) - floor_usage) / c
+            return value_capped
 
-            def value(q, c):
-                return (q - eps_default) / c
-    elif kind == "latency":
+        def usage(caps):
+            return lambda lev: sum([default if lev <= 0.0 else lev * c + default for c in caps])
+
+        def tie_level(caps):
+            # one class of the pooled capacity and pooled default consumption
+            pooled, total = capped(len(caps) * default), sum(caps)
+            return lambda q: pooled(q, total)
+
+        return {"_value": value, "_value_capped": capped(default), "_slope": slope,
+                "_usage": usage, "_tie_level": tie_level, "_saturates": saturates}
+
+    if kind == "latency":
         def value(q, c):
             return 1.0 / (c - q)
 
         def slope(q, c):
             return 1.0 / ((c - q) ** 2)
+
+        def usage(caps):
+            members = [(c, value(0.0, c)) for c in caps]
+            return lambda lev: sum([0.0 if lev <= fl else c - 1.0 / lev for c, fl in members])
     elif kind == "general_latency":
         delta2 = model.delta2
 
@@ -261,6 +257,13 @@ def _kernels(model: CongestionModel):
 
         def slope(q, c):
             return (1.0 + delta2) / (2.0 * (c - q) ** 2)
+
+        def usage(caps):
+            members = [(c, value(0.0, c)) for c in caps]
+            return lambda lev: sum([
+                0.0 if lev <= fl else (a := 2.0 * c * lev - 2.0) * c / (1.0 + delta2 + a)
+                for c, fl in members
+            ])
     elif kind == "loss":
         kappa = model.kappa
 
@@ -282,6 +285,24 @@ def _kernels(model: CongestionModel):
             sprime = sum(j * powers[j - 1] for j in range(1, kappa + 1))
             grho = (kappa * powers[kappa - 1] * s - powers[kappa] * sprime) / (s * s)
             return grho / c
+
+        def inverse(level, c):
+            # monotone in rho on (0, inf); cap the bracket where K -> 1
+            if level >= 1.0:
+                raise DomainError(f"loss level must be below 1, got {level}")
+            lo, hi = 0.0, 1.0
+            while value(hi * c, c) < level:
+                hi *= 2.0
+            for _ in range(LEVEL_INVERSION_STEPS):
+                mid = 0.5 * (lo + hi)
+                if value(mid * c, c) < level:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi) * c
+
+        def usage(caps):
+            return lambda lev: sum([0.0 if lev <= 0.0 else inverse(lev, c) for c in caps])
     else:  # outage
         eps = model.eps
 
@@ -295,20 +316,67 @@ def _kernels(model: CongestionModel):
                 return 0.0 if c > 1.0 else (eps if c == 1.0 else float("inf"))
             return eps * (base ** (c - 1.0))
 
-    if kind in _LATENCY_KINDS:
+        def usage(caps):
+            roots = [(c, 1.0 / c) for c in caps]
+
+            def usage_at(lev):
+                try:
+                    return sum([0.0 if lev <= 0.0 else c * (lev ** r) / eps for c, r in roots])
+                except OverflowError:
+                    # lev ** (1/c) of a small class passed the float range
+                    # above lev = 1: its usage exceeds any finite mass
+                    return math.inf
+            return usage_at
+
+    if saturates:
         def value_capped(q, c):
             if q >= c:
                 return DIVERGED_LEVEL * (1.0 + q - c)
             return value(0.0 if q <= 0.0 else q, c)
-    elif kind == "utilization_default":
-        def value_capped(q, c):
-            if q < eps_default:
-                return 0.0
-            return value(0.0 if q <= 0.0 else q, c)
     else:
         def value_capped(q, c):
             return value(0.0 if q <= 0.0 else q, c)
-    return value, value_capped, slope
+
+    if kind == "loss":
+        def tie_level(caps):
+            # one class of the pooled capacity
+            total = sum(caps)
+            return lambda q: value_capped(q, total)
+    else:
+        def tie_level(caps):
+            # levels match only by inversion: bisect the summed usage for q,
+            # with a huge finite level once q reaches a latency group's
+            # pooled capacity so the solvers can bracket
+            if len(caps) == 1:
+                c = caps[0]
+                return lambda q: value_capped(q, c)
+            cap = sum(caps) if saturates else math.inf
+            floor = min(value(0.0, c) for c in caps)
+            usage_at = usage(caps)
+
+            def level(q):
+                q = max(q, 0.0)
+                if q >= cap:
+                    return DIVERGED_LEVEL * (1.0 + q - cap)
+                if q <= 0.0:
+                    return floor
+                lo = floor
+                hi = max(lo * 2.0, LEVEL_BRACKET_START)
+                while usage_at(hi) < q:
+                    hi *= 2.0
+                    if hi > LEVEL_BRACKET_CAP:
+                        return hi
+                for _ in range(LEVEL_INVERSION_STEPS):
+                    mid = 0.5 * (lo + hi)
+                    if usage_at(mid) < q:
+                        lo = mid
+                    else:
+                        hi = mid
+                return 0.5 * (lo + hi)
+            return level
+
+    return {"_value": value, "_value_capped": value_capped, "_slope": slope,
+            "_usage": usage, "_tie_level": tie_level, "_saturates": saturates}
 
 
 def utilization() -> CongestionModel:
@@ -393,7 +461,7 @@ def classify_scaling(
     witness_down = witness_up = None
     evaluated = 0
     for q, c in q_grid:
-        if q < lo or (model.kind in _LATENCY_KINDS and q >= c):
+        if q < lo or (model._saturates and q >= c):
             continue
         base = model.evaluate(q, c)
         for a in alpha_grid:

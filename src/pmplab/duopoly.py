@@ -197,17 +197,16 @@ def profit_derivative_I(
     duo: DuopolyScenario,
     p_i: float,
     strat_ii: ProviderStrategy,
-    cross_check: bool = True,
 ) -> DerivativeReport:
     """Central finite difference of provider I's profit in its own price.
 
     The step, ``DERIVATIVE_STEP`` times V, must not straddle a price-ordering
     case boundary (one of provider II's prices, or the ends of [0, V]);
     :class:`BoundaryError` protects against differencing across the kink.
-    When ``cross_check`` is set and a legible tabulated closed form exists
-    for the active case, it is evaluated on the equilibrium quantities and
-    compared; rows whose published source is garbled are reported as
-    'corrupted-source' rather than guessed at.
+    When a legible tabulated closed form exists for the active case, it is
+    evaluated on the equilibrium quantities and compared; rows whose
+    published source is garbled are reported as 'corrupted-source' rather
+    than guessed at.
     """
     v = duo.v
     step = DERIVATIVE_STEP * v
@@ -225,9 +224,6 @@ def profit_derivative_I(
     fd = (up - dn) / (2.0 * step)
 
     case = _case_label(p_i, ii_prices)
-    if not cross_check:
-        return DerivativeReport(fd, None, case, "inapplicable")
-
     closed, status = _closed_form_derivative(duo, p_i, strat_ii, case)
     if closed is not None:
         rel = abs(closed - fd) / max(abs(fd), REL_GAP_FLOOR)

@@ -21,6 +21,10 @@ chain.  Classes that attract nobody at the posted prices are dropped from
 the chain and flagged degenerate, with a no-deviation check confirming the
 drop is consistent.
 
+This module never names a congestion kind: every family's formulas, the
+tie-group level included, live in ``congestion.py`` and are reached
+through the model's kernels.
+
 The forward map (cutoffs -> prices) is closed form.  The reverse map is
 solved in theta space: a damped Newton iteration with analytic Jacobian
 covers the common interior and saturated cases fast, with a nested
@@ -34,7 +38,6 @@ contradicts it being re-solved to zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,8 +45,7 @@ from scipy.optimize import brentq
 
 from ._tolerances import (
     ACCESS_VALUE_SLACK, BOUNDARY_BISECT_STEPS, BRENT_MAXITER, BRENT_RTOL, BRENT_XTOL,
-    CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, DIVERGED_LEVEL, EMPTY_CLASS_MASS,
-    INNER_EXTRA_STEPS, LEVEL_BRACKET_CAP, LEVEL_BRACKET_START, LEVEL_INVERSION_STEPS,
+    CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, EMPTY_CLASS_MASS, INNER_EXTRA_STEPS,
     NEWTON_COLLAPSE, NEWTON_CONVERGED, NEWTON_HALVINGS, NEWTON_ITERATIONS,
     NEWTON_MIN_USAGE_SLACK, ORDER_ROUNDOFF, PRICE_TOL, SATURATION_SLACK,
     SEED_CUTOFF_GAP, SEED_USAGE_PAD, SINGULAR_PIVOT, SLOPE_FLOOR, SOLVED_RESIDUAL_TOL,
@@ -166,58 +168,8 @@ class _Group:
     def floor_level(self, model: CongestionModel) -> float:
         return min(model.level_floor(c) for c in self.caps)
 
-    def level_function(self, model: CongestionModel):
-        """Common congestion level as a function of the mass q the group
-        as a whole serves.
-
-        Members share q so that their levels match (no member may offer a
-        strictly better deal at the same price).  Utilization, default
-        consumption and loss kinds admit closed forms; the latency kinds
-        are inverted numerically, returning a huge finite level once q
-        reaches the pooled capacity so the solvers can bracket.  Everything
-        that does not depend on q is settled here, once per group.
-        """
-        value_capped = model._value_capped
-        if len(self.caps) == 1:
-            c = self.caps[0]
-            return lambda q: value_capped(max(q, 0.0), c)
-        total = sum(self.caps)
-        kind = model.kind
-        if kind == "utilization":
-            return lambda q: max(q, 0.0) / total
-        if kind == "utilization_default":
-            defaults = len(self.caps) * model.eps_default
-            return lambda q: max(max(q, 0.0) - defaults, 0.0) / total
-        if kind == "loss":
-            return lambda q: value_capped(max(q, 0.0) / total, 1.0)
-        cap = total if kind in ("latency", "general_latency") else math.inf
-        floors = [model.level_floor(c) for c in self.caps]
-        floor = min(floors)
-        usage_at = _pooled_usage(model, self.caps, floors)
-
-        def level(q):
-            q = max(q, 0.0)
-            if q >= cap:
-                return DIVERGED_LEVEL * (1.0 + q - cap)
-            if q <= 0.0:
-                return floor
-            lo = floor
-            hi = max(lo * 2.0, LEVEL_BRACKET_START)
-            while usage_at(hi) < q:
-                hi *= 2.0
-                if hi > LEVEL_BRACKET_CAP:
-                    return hi
-            for _ in range(LEVEL_INVERSION_STEPS):
-                mid = 0.5 * (lo + hi)
-                if usage_at(mid) < q:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-        return level
-
     def split(self, model: CongestionModel, q: float, lev: float) -> list:
-        """Member usages at the matched level ``lev`` = ``level_function(model)(q)``,
+        """Member usages at the matched level ``lev`` = ``model._tie_level(caps)(q)``,
         summing to q exactly."""
         if len(self.caps) == 1:
             return [q]
@@ -231,38 +183,6 @@ class _Group:
         elif parts:
             parts[0] = q
         return parts
-
-
-def _pooled_usage(model: CongestionModel, caps, floors):
-    """Total member usage as a function of the common level.
-
-    The kind dispatch, floors and per-member constants are settled once, so
-    the bisection in ``_Group.level_function`` evaluates only the inverse
-    arithmetic.  Each term is written exactly as in
-    ``CongestionModel.usage_at_level`` and summed in member order, so the
-    result matches summing that method.
-    """
-    members = list(zip(caps, floors))
-    if model.kind == "latency":
-        return lambda lev: sum([c - 1.0 / lev if lev > fl else 0.0 for c, fl in members])
-    if model.kind == "general_latency":
-        d2 = model.delta2
-        return lambda lev: sum([
-            (a := 2.0 * c * lev - 2.0) * c / (1.0 + d2 + a) if lev > fl else 0.0
-            for c, fl in members
-        ])
-    # outage, the remaining numerically inverted kind
-    eps = model.eps
-    roots = [(c, fl, 1.0 / c) for c, fl in members]
-
-    def usage_at(lev):
-        try:
-            return sum([c * (lev ** r) / eps if lev > fl else 0.0 for c, fl, r in roots])
-        except OverflowError:
-            # lev ** (1/c) of a small member passed the float range above
-            # lev = 1: its usage exceeds any mass the bracket can ask for
-            return math.inf
-    return usage_at
 
 
 def _group_by_price(prices, capacities):
@@ -501,14 +421,15 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     n = len(act_groups)
     min_q = model.min_usage()
     slope_at = min_q + SLOPE_FLOOR
-    latency = model.kind in ("latency", "general_latency")
+    saturates = model._saturates
 
     def residual(x, pinned):
         """Residuals, levels and usages at cutoff vector x (row 0 dropped if
-        pinned), or None where a latency class is loaded past capacity."""
+        pinned), or None where a class whose level diverges at capacity is
+        loaded past it."""
         cum = [dist.cdf(t) for t in x] + [0.0]  # F(0) = 0
         qs = [cum[i] - cum[i + 1] for i in range(n)]
-        if latency:
+        if saturates:
             for q, c in zip(qs, caps):
                 if q >= c:
                     return None
@@ -679,7 +600,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
     act = [groups[gi] for gi in active]
     n = len(act)
     prices = [g.price for g in act]
-    level_of = [g.level_function(model) for g in act]
+    level_of = [model._tie_level(g.caps) for g in act]
 
     def resolve(j, top, f_top):
         """Solve groups j.. below boundary ``top``, where F(top) = f_top.

@@ -10,11 +10,6 @@ class DomainError(PmplabError, ValueError):
     or distribution (negative usage, zero capacity, saturated queue, ...)."""
 
 
-class DegenerateError(PmplabError, ValueError):
-    """A computation was requested too close to a domain boundary for the
-    numerical scheme to make sense (e.g. finite differences at the edge)."""
-
-
 class OrderError(PmplabError, ValueError):
     """A cutoff or price vector violates the ordering an equilibrium
     requires (decreasing cutoffs, nonincreasing nonnegative prices,

@@ -45,7 +45,7 @@ class TypeDistribution:
                     or abs(pts[-1][1] - 1.0) > CDF_ROUNDOFF):
                 raise DomainError("tabulated CDF must end at (support_end, 1)")
             for (x0, f0), (x1, f1) in zip(pts, pts[1:]):
-                if x1 <= x0 or f1 <= f0:
+                if not (x1 > x0 and f1 > f0):  # also rejects a NaN breakpoint
                     raise DomainError("tabulated CDF breakpoints must be strictly increasing")
         elif self.kind != "uniform":
             raise DomainError(f"unknown distribution kind {self.kind!r}")
@@ -146,12 +146,17 @@ def tabulated_from_file(path) -> TypeDistribution:
     """Load a two-column ``theta F`` text file (ascending) as a tabulated CDF."""
     pts = []
     with open(path) as fh:
-        for raw in fh:
+        for row, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             cols = line.split()
             if len(cols) != 2:
                 raise DomainError(f"expected two columns in {path!r}, got {raw!r}")
-            pts.append((float(cols[0]), float(cols[1])))
+            try:
+                pts.append((float(cols[0]), float(cols[1])))
+            except ValueError:
+                raise DomainError(
+                    f"expected two numbers in {path!r} row {row}, got {line!r}"
+                ) from None
     return tabulated(pts)

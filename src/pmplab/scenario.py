@@ -79,6 +79,8 @@ def _parse_call(text, line):
             if "=" not in part:
                 raise ScenarioError(f"expected name=value in {text!r}", line)
             key, val = (s.strip() for s in part.split("=", 1))
+            if key in kwargs:
+                raise ScenarioError(f"duplicate parameter {key!r} in {text!r}", line)
             kwargs[key] = val
     return name, kwargs
 
@@ -98,23 +100,16 @@ def _num(value, line, kind=float):
 
 def _parse_model(text, line):
     name, kw = _parse_call(text, line)
+    if name not in cg.DESCRIPTOR_PARAMETERS:
+        raise ScenarioError(f"unknown model {name!r}", line)
+    fields = {}
+    if cg.DESCRIPTOR_PARAMETERS[name] is not None:
+        param, attr, typ = cg.DESCRIPTOR_PARAMETERS[name]
+        if param not in kw:
+            raise ScenarioError(f"model {name!r} needs parameter {param!r}", line)
+        fields[attr] = _num(kw.pop(param), line, typ)
     try:
-        if name == "utilization":
-            model = cg.utilization()
-        elif name == "latency":
-            model = cg.latency()
-        elif name == "general_latency":
-            model = cg.general_latency(_num(kw.pop("delta2"), line))
-        elif name == "loss":
-            model = cg.loss(_num(kw.pop("kappa"), line, int))
-        elif name == "outage":
-            model = cg.outage(_num(kw.pop("eps"), line))
-        elif name == "utilization_default":
-            model = cg.utilization_default(_num(kw.pop("eps"), line))
-        else:
-            raise ScenarioError(f"unknown model {name!r}", line)
-    except KeyError as missing:
-        raise ScenarioError(f"model {name!r} needs parameter {missing}", line) from None
+        model = cg.CongestionModel(name, **fields)
     except cg.DomainError as exc:
         raise ScenarioError(str(exc), line) from None
     _reject_unread(kw, f"model {name!r}", line)

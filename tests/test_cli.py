@@ -98,6 +98,22 @@ def test_unknown_descriptor_parameter_is_an_input_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("descriptor, row, named", [
+    ("model = outage(eps=0.9, eps=0.5)", "0.5 0.8", "duplicate parameter 'eps'"),
+    ("distribution = tabulated(file=cdf.txt)", "0.5 abc", "cdf.txt' row 2"),
+    ("distribution = tabulated(file=cdf.txt)", "0.5 nan", "strictly increasing"),
+])
+def test_bad_descriptor_is_an_input_error_naming_its_line(tmp_path, capsys, descriptor, row,
+                                                         named):
+    (tmp_path / "cdf.txt").write_text(f"0 0\n{row}\n1 1\n")
+    model = "" if descriptor.startswith("model") else "model = latency\n"
+    scen = write(tmp_path, f"V = 2.0\n# the descriptor sits on line 3\n{descriptor}\n{model}")
+    assert main(["classify", "--scenario", scen, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err
+    assert named in err
+
+
 def test_parse_grid_specs():
     sf = parse_scenario_text("model = latency\nV = 2\na_grid = 0:1:5\n")
     assert sf.a_grid == (0.0, 0.25, 0.5, 0.75, 1.0)

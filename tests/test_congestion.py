@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmplab import congestion as cg
-from pmplab.errors import DegenerateError, DomainError
+from pmplab.errors import DomainError
 
 ALL_MODELS = [
     cg.utilization(),
@@ -106,11 +106,18 @@ def test_marginal_loss_matches_symbolic():
     assert cg.loss(2).marginal(0.5, 1.0) == pytest.approx(exact, rel=1e-5)
 
 
-def test_marginal_near_boundary_degenerate():
-    with pytest.raises(DegenerateError):
-        cg.loss(2).marginal(1e-9, 1.0)
-    with pytest.raises(DegenerateError):
-        cg.general_latency(1.0).marginal(1.0 - 1e-9, 1.0)
+def test_marginal_is_the_analytic_slope_up_to_the_domain_edges():
+    for model in ALL_MODELS:
+        lo = model.min_usage()
+        saturates = model.kind in ("latency", "general_latency")
+        for c in (0.5, 1.0, 2.0):
+            inside = [lo, lo + 1e-9, 0.5 * (lo + c), c - 1e-9] + ([] if saturates else [c])
+            for q in inside:
+                assert float.hex(model.marginal(q, c)) == float.hex(model._slope(q, c))
+            outside = [(lo - 1e-9, c), (0.5 * c, 0.0)] + ([(c, c)] if saturates else [])
+            for q, cap in outside:
+                with pytest.raises(DomainError):
+                    model.marginal(q, cap)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -65,7 +65,7 @@ def test_derivative_cross_check_one_class_case():
 
 def test_derivative_matches_secant_sign():
     strat = ProviderStrategy.one(1.0, 1.0)
-    rep = duo.profit_derivative_I(UTL, 1.25, strat, cross_check=False)
+    rep = duo.profit_derivative_I(UTL, 1.25, strat)
     up = duo._profit_i(UTL, 1.25 + 1e-4, strat)
     dn = duo._profit_i(UTL, 1.25 - 1e-4, strat)
     assert math.copysign(1.0, rep.finite_difference) == math.copysign(1.0, up - dn)
@@ -80,7 +80,7 @@ def test_derivative_near_zero_at_best_response():
     strat = ProviderStrategy.one(1.0, 1.0)
     p_star, _v = duo.best_response_I(UTL, strat)
     if min(abs(p_star - 1.0), p_star, UTL.v - p_star) > 2e-5:
-        rep = duo.profit_derivative_I(UTL, p_star, strat, cross_check=False)
+        rep = duo.profit_derivative_I(UTL, p_star, strat)
         assert abs(rep.finite_difference) <= 1e-4
 
 

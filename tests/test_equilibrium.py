@@ -328,8 +328,8 @@ def test_identical_price_levels_match():
 # ---------------------------------------------------------------------------
 
 def _ref_group_level(model, caps, q):
-    """Plain 80-step bisection over the public usage_at_level, which
-    _Group.level_function must reproduce bit for bit."""
+    """Plain 80-step bisection over the public usage_at_level, which a
+    model's tie-group level must reproduce bit for bit."""
     def usage_at(lev):
         return sum(model.usage_at_level(lev, c) for c in caps)
 
@@ -381,13 +381,42 @@ _INVERTED_KINDS = st.sampled_from(
 def test_tie_group_level_matches_bisection_reference(model, caps, frac):
     group = eqm._Group(1.0, list(caps), list(range(len(caps))))
     q = frac * sum(caps) if model.kind != "outage" else 3.0 * frac
-    level = group.level_function(model)(q)
+    level = model._tie_level(caps)(q)
     assert level == _ref_group_level(model, caps, q)
     assert group.split(model, q, level) == _ref_group_split(model, caps, q)
     if model.kind == "latency" and q < sum(caps):
         pooled = len(caps) / (sum(caps) - q)
         if pooled > 1.0 / min(caps) * (1.0 + 1e-9):  # every member serves
             assert level == pytest.approx(pooled, rel=1e-12, abs=0.0)
+
+
+def _ref_pooled_level(model, caps, q):
+    """Closed-form tie-group levels, written per kind."""
+    q, total = max(q, 0.0), sum(caps)
+    if model.kind == "utilization":
+        return q / total
+    if model.kind == "utilization_default":
+        return max(q - len(caps) * model.eps_default, 0.0) / total
+    return model._value_capped(q / total, 1.0)  # loss: rho = q / total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([cg.utilization(), cg.utilization_default(0.0),
+                     cg.utilization_default(0.07), cg.loss(1), cg.loss(4)]),
+    st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3),
+    st.one_of(st.sampled_from([0.0, -0.0, -1e-9]), st.floats(-1.0, 3.0)),
+)
+def test_pooled_tie_group_level_matches_closed_forms(model, caps, q):
+    # one class of the pooled capacity, bit for bit; only the sign of a zero
+    # level may differ, at q = -0.0, which no solve passes (its group masses
+    # are differences of CDF values at nonnegative cutoffs)
+    level = model._tie_level(caps)(q)
+    ref = _ref_pooled_level(model, caps, q)
+    if level == 0.0:
+        assert ref == 0.0
+    else:
+        assert float.hex(level) == float.hex(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +750,7 @@ def test_outage_tie_group_with_a_tiny_member_does_not_overflow():
     # which the level bracket reaches for any group mass above ~0.55
     model = cg.outage(0.5)
     caps = [0.2762514337328343, 3.023602266400793e-05]
-    level = eqm._Group(0.72, caps, [0, 1]).level_function(model)
+    level = model._tie_level(caps)
     for q in (0.5, 1.0, 2.0, 10.0):
         lev = level(q)
         assert sum(model.usage_at_level(lev, c) for c in caps) == pytest.approx(q, rel=1e-9)
