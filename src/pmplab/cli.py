@@ -13,12 +13,14 @@ command into the output directory, and prints a short summary.  All
 numeric output carries 9 significant digits and rows appear in grid
 order, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 input error, 3 computation error.
+Exit codes: 0 success, 2 input error (an unwritable ``--out`` included),
+3 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -286,15 +288,15 @@ def main(argv=None) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            print("tolerance must be positive", file=sys.stderr)
+        if not 0 < args.tol < math.inf:
+            print(f"--tol must be positive and finite, got {args.tol}", file=sys.stderr)
             return EXIT_INPUT
         sf.tol = args.tol
     if getattr(args, "grid", None) is not None and args.grid < 2:
         print(f"--grid must be at least 2, got {args.grid}", file=sys.stderr)
         return EXIT_INPUT
-    os.makedirs(args.out, exist_ok=True)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](sf, args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -302,6 +304,11 @@ def main(argv=None) -> int:
     except PmplabError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+    except OSError as exc:
+        # a command's only file access is writing its CSV, so this is the
+        # output directory or the CSV; the message names the path
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

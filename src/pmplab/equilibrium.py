@@ -38,6 +38,7 @@ contradicts it being re-solved to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -45,7 +46,7 @@ from scipy.optimize import brentq
 
 from ._tolerances import (
     ACCESS_VALUE_SLACK, BOUNDARY_BISECT_STEPS, BRENT_MAXITER, BRENT_RTOL, BRENT_XTOL,
-    CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, EMPTY_CLASS_MASS, INNER_EXTRA_STEPS,
+    CDF_ROUNDOFF, CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, EMPTY_CLASS_MASS, INNER_EXTRA_STEPS,
     NEWTON_COLLAPSE, NEWTON_CONVERGED, NEWTON_HALVINGS, NEWTON_ITERATIONS,
     NEWTON_MIN_USAGE_SLACK, ORDER_ROUNDOFF, PRICE_TOL, SATURATION_SLACK,
     SEED_CUTOFF_GAP, SEED_USAGE_PAD, SINGULAR_PIVOT, SLOPE_FLOOR, SOLVED_RESIDUAL_TOL,
@@ -366,10 +367,10 @@ def _solve_group_chain(scenario: MarketScenario, groups) -> _ChainSolution:
 
 # -- damped Newton ----------------------------------------------------------
 
-def _solve_linear(a, b):
-    """Gaussian elimination with partial pivoting for tiny systems."""
-    n = len(b)
-    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+def _eliminate(m):
+    """Solve the augmented system ``m`` = [A | b] in place by Gaussian
+    elimination with partial pivoting; None when a pivot is (near) zero."""
+    n = len(m)
     for col in range(n):
         # first row of largest magnitude, the one max() would pick
         piv, big = col, abs(m[col][col])
@@ -380,12 +381,14 @@ def _solve_linear(a, b):
         if big < SINGULAR_PIVOT:
             return None
         m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
+        prow = m[col]
+        inv = 1.0 / prow[col]
         for r in range(col + 1, n):
-            fac = m[r][col] * inv
+            row = m[r]
+            fac = row[col] * inv
             if fac != 0.0:
                 for c in range(col, n + 1):
-                    m[r][c] -= fac * m[col][c]
+                    row[c] -= fac * prow[c]
     x = [0.0] * n
     for r in range(n - 1, -1, -1):
         row = m[r]
@@ -409,55 +412,96 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     market) from the capacity seed and from the default start.  An unpinned
     solution whose top cutoff lies beyond the support end also moves on to
     the pinned attempts.
+
+    A saturation bound skips both unpinned attempts when it shows that
+    neither can accept a root, i.e. reach |r_i| < NEWTON_CONVERGED for all
+    residuals with theta_1 <= theta_bar + SUPPORT_END_SLACK.  The pinned
+    attempts then start from the same seed as they would have after the
+    unpinned ones, so the result is the same bit for bit.  Write K(q, C)
+    for ``_value_capped``, d_1 = V - p_1 and d_2 = p_1 - p_2.  The proof:
+
+    * Every computed usage is at most q_top = 1 + 2 CDF_ROUNDOFF: F is
+      nonnegative and at most a table's last value, 1 + CDF_ROUNDOFF, plus
+      rounding.
+    * K is nonnegative and, up to rounding far below PRICE_TOL,
+      nondecreasing in q; for the latency kinds only below capacity, but
+      ``residual`` rejects a usage at capacity.  So k_i <= K(q, C_i)
+      whenever q_i <= q < C_i, and every k_i is finite when K(q_top, C_i) is.
+    * An accepted root has |d_1 - theta_1 k_1| < NEWTON_CONVERGED with
+      0 <= theta_1 <= theta_bar + SUPPORT_END_SLACK, so
+      d_1 < (theta_bar + SUPPORT_END_SLACK) K(q_1, C_1) + NEWTON_CONVERGED.
+      The bound holds when d_1 exceeds that, with q_1 replaced by a bound
+      q_bar on it, by more than PRICE_TOL, a margin far above the rounding
+      of these few operations.
+    * q_bar = q_top - min(F(min(y, theta_bar)), 1), where y bounds the
+      second cutoff from below: y = 0 in general, and when d_2 > PRICE_TOL
+      and K_2 = K(q_top, C_2) is finite and positive, y = (d_2 - PRICE_TOL)
+      / K_2 provided d_2 - y K_2 >= NEWTON_CONVERGED in floating point.
+      Then theta_2 < y would give theta_2 (k_2 - k_1) <= y K_2 (k_1 >= 0,
+      k_2 <= K_2), so r_2 >= d_2 - y K_2 would fail the convergence test
+      (max() over the residuals sees r_2 unless r_1 is NaN, which fails
+      it too).  F is monotone up to rounding below theta_bar and is 1 from
+      there on, so F(theta_2) >= min(F(min(y, theta_bar)), 1) less
+      rounding, which the extra CDF_ROUNDOFF in q_top covers; hence
+      q_1 = F(theta_1) - F(theta_2) <= q_bar.
     """
-    v = scenario.v
     dist = scenario.dist
+    cdf = dist.cdf
+    density = dist.density
     model = scenario.model
     value_capped = model._value_capped
     slope = model._slope
+    saturates = model._saturates
     theta_bar = dist.support_end
-    prices = [g.price for g in act_groups]
     caps = [g.caps[0] for g in act_groups]
     n = len(act_groups)
+    # the price side of each indifference equation: d_1 = V - p_1 for the
+    # top cutoff, d_i = p_{i-1} - p_i for the others
+    gaps = [scenario.v - act_groups[0].price] + [
+        act_groups[i - 1].price - act_groups[i].price for i in range(1, n)]
     min_q = model.min_usage()
     slope_at = min_q + SLOPE_FLOOR
-    saturates = model._saturates
 
     def residual(x, pinned):
         """Residuals, levels and usages at cutoff vector x (row 0 dropped if
         pinned), or None where a class whose level diverges at capacity is
         loaded past it."""
-        cum = [dist.cdf(t) for t in x] + [0.0]  # F(0) = 0
+        cum = [cdf(t) for t in x] + [0.0]  # F(0) = 0
         qs = [cum[i] - cum[i + 1] for i in range(n)]
         if saturates:
             for q, c in zip(qs, caps):
                 if q >= c:
                     return None
         ks = [value_capped(q, c) for q, c in zip(qs, caps)]
-        res = [] if pinned else [v - prices[0] - x[0] * ks[0]]
+        res = [] if pinned else [gaps[0] - x[0] * ks[0]]
         for i in range(1, n):
-            res.append((prices[i - 1] - prices[i]) - x[i] * (ks[i] - ks[i - 1]))
+            res.append(gaps[i] - x[i] * (ks[i] - ks[i - 1]))
         return res, ks, qs
 
-    def jacobian(x, ks, qs, pinned):
-        """Jacobian of ``residual`` at x, given its levels and usages."""
+    def system(x, res, ks, qs, off):
+        """The augmented Newton system [J | -r] at x, given ``residual``'s
+        output; with ``off`` = 1 the pinned top cutoff's row and column are
+        left out."""
         sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
-        fs = [dist.density(t) for t in x]
-        rows = range(1, n) if pinned else range(n)
-        jac = []
-        for i in rows:
-            row = [0.0] * n
+        fs = [0.0 if i < off else density(x[i]) for i in range(n)]
+        width = n - off
+        m = []
+        for i in range(off, n):
+            row = [0.0] * (width + 1)
+            j = i - off
             if i == 0:
                 row[0] = -ks[0] - x[0] * sl[0] * fs[0]
                 if n > 1:
                     row[1] = x[0] * sl[0] * fs[1]
             else:
-                row[i - 1] = x[i] * sl[i - 1] * fs[i - 1]
-                row[i] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
+                if j > 0:
+                    row[j - 1] = x[i] * sl[i - 1] * fs[i - 1]
+                row[j] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
                 if i + 1 < n:
-                    row[i + 1] = x[i] * sl[i] * fs[i + 1]
-            jac.append(row[1:] if pinned else row)
-        return jac
+                    row[j + 1] = x[i] * sl[i] * fs[i + 1]
+            row[width] = -res[j]
+            m.append(row)
+        return m
 
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
@@ -479,33 +523,30 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     def run(pinned, seed=None):
         """Newton iterate; returns (cutoffs, levels, usages) or None."""
         if pinned and n == 1:
-            q0 = dist.cdf(theta_bar)
+            q0 = cdf(theta_bar)
             return [theta_bar], [value_capped(q0, caps[0])], [q0]
         x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
         if pinned:
             x[0] = theta_bar
         top_cap = theta_bar * (3.0 if not pinned else 1.0)
         off = 1 if pinned else 0
+        trial = list(x)  # a pinned top cutoff is never stepped
         for _ in range(NEWTON_ITERATIONS):
             got = residual(x, pinned)
             if got is None:
                 return None
             res, ks, qs = got
-            if max(abs(r) for r in res) < NEWTON_CONVERGED:
+            if max(map(abs, res)) < NEWTON_CONVERGED:
                 return x, ks, qs
-            step = _solve_linear(jacobian(x, ks, qs, pinned), [-r for r in res])
+            step = _eliminate(system(x, res, ks, qs, off))
             if step is None:
                 return None
             lam = 1.0
-            base = list(x)
             for _damp in range(NEWTON_HALVINGS):
-                trial = list(base)
-                for k, s in enumerate(step):
-                    trial[k + off] = base[k + off] + lam * s
-                ok = all(
-                    trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)
-                ) and trial[-1] >= -ORDER_ROUNDOFF and trial[0] <= top_cap
-                if ok:
+                for k in range(off, n):
+                    trial[k] = x[k] + lam * step[k - off]
+                if trial[0] <= top_cap and trial[-1] >= -ORDER_ROUNDOFF and all(
+                        trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)):
                     x = [min(max(t, 0.0), top_cap) for t in trial]
                     break
                 lam *= 0.5
@@ -513,14 +554,28 @@ def _newton_chain(scenario: MarketScenario, act_groups):
                 return None
         return None
 
+    # the saturation bound of the docstring
+    q_top = 1.0 + 2.0 * CDF_ROUNDOFF
+    f_floor = 0.0
+    if n > 1 and gaps[1] > PRICE_TOL and not (saturates and q_top >= caps[1]):
+        k_top = value_capped(q_top, caps[1])
+        if 0.0 < k_top < math.inf:
+            y = (gaps[1] - PRICE_TOL) / k_top
+            if gaps[1] - y * k_top >= NEWTON_CONVERGED:
+                f_floor = min(cdf(min(y, theta_bar)), 1.0)
+    q_bar = q_top - f_floor
+    must_pin = not (saturates and q_bar >= caps[0]) and gaps[0] > (
+        (theta_bar + SUPPORT_END_SLACK) * value_capped(q_bar, caps[0])
+        + NEWTON_CONVERGED + PRICE_TOL)
+
     seed = capacity_seed()
-    out = run(pinned=False, seed=seed)
-    if out is None:
-        out = run(pinned=False)
-    saturated = False
-    if out is not None and out[0][0] > theta_bar + SUPPORT_END_SLACK:
-        out = None
-        saturated = True
+    out = None
+    if not must_pin:
+        out = run(pinned=False, seed=seed)
+        if out is None:
+            out = run(pinned=False)
+        if out is not None and out[0][0] > theta_bar + SUPPORT_END_SLACK:
+            out = None
     if out is None:
         got = run(pinned=True, seed=seed)
         if got is None:
@@ -528,7 +583,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         if got is None:
             return ("fail", None)
         x, ks, qs = got
-        slack = v - prices[0] - theta_bar * ks[0]
+        slack = gaps[0] - theta_bar * ks[0]
         if slack < -PRICE_TOL:
             return ("fail", None)
         saturated = True

@@ -20,6 +20,7 @@ Duopoly studies replace ``capacities`` with the providers' capacities::
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -93,9 +94,12 @@ def _reject_unread(kw, what, line):
 
 def _num(value, line, kind=float):
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         raise ScenarioError(f"expected a number, got {value!r}", line) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"expected a finite number, got {value!r}", line)
+    return number
 
 
 def _parse_model(text, line):

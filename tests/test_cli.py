@@ -272,3 +272,44 @@ def test_grid_below_two_is_an_input_error(tmp_path, capsys, command, grid):
     assert main([command, "--scenario", scen, "--out", str(out), "--grid", grid]) == 2
     assert "--grid" in capsys.readouterr().err
     assert not (out / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("assignment", [
+    "tol = nan", "delta = nan", "V = nan", "capacities = 0.4, inf", "split = -inf, 0.3",
+    "model = general_latency(delta2=nan)", "distribution = uniform(theta_bar=inf)",
+])
+def test_non_finite_numbers_are_rejected_with_their_line(tmp_path, capsys, assignment):
+    key = assignment.split("=", 1)[0].strip()
+    lines = [f"{k} = {v}" for k, v in (("model", "utilization"), ("V", "2.0"),
+                                        ("capacities", "0.3, 0.7")) if k != key]
+    text = "\n".join(lines) + f"\n{assignment}\n"
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.line == len(lines) + 1
+    assert "finite" in str(err.value)
+    scen = write(tmp_path, text)
+    assert main(["classify", "--scenario", scen, "--out", str(tmp_path / "out")]) == 2
+    assert f"line {len(lines) + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "classify.csv").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+def test_tol_flag_must_be_positive_and_finite(tmp_path, capsys, tol):
+    scen = write(tmp_path, UTL_TWO)
+    out = tmp_path / "out"
+    assert main(["classify", "--scenario", scen, "--out", str(out), f"--tol={tol}"]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (out / "classify.csv").exists()
+
+
+def test_unwritable_output_is_an_input_error_naming_the_path(tmp_path, capsys):
+    scen = write(tmp_path, UTL_TWO)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["classify", "--scenario", scen, "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    # a directory where the CSV should go makes the write itself fail
+    out = tmp_path / "out"
+    (out / "classify.csv").mkdir(parents=True)
+    assert main(["classify", "--scenario", scen, "--out", str(out)]) == 2
+    assert str(out / "classify.csv") in capsys.readouterr().err

@@ -1046,8 +1046,229 @@ def _linear_systems(draw):
 @example(system=([[1.0, 3.0], [-1.0, 1.0]], [-0.0, 2.0], None))  # |1| and |-1| tie
 def test_solve_linear_matches_reference_bits(system):
     a, b, singular = system
-    got = eqm._solve_linear([row[:] for row in a], list(b))
+    got = eqm._eliminate([row[:] + [rhs] for row, rhs in zip(a, b)])
     assert _hex_or_none(got) == _hex_or_none(_ref_solve_linear(a, b))
     if singular is not None:
         assert got is None
 
+
+
+# ---------------------------------------------------------------------------
+# Newton's saturation bound against the four-attempt reference
+# ---------------------------------------------------------------------------
+
+def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
+    """``_newton_chain`` as it was before the saturation bound: every chain
+    tries both unpinned attempts first, and each step builds the Jacobian
+    and the right-hand side apart."""
+    v = scenario.v
+    dist = scenario.dist
+    model = scenario.model
+    value_capped = model._value_capped
+    slope = model._slope
+    theta_bar = dist.support_end
+    prices = [g.price for g in act_groups]
+    caps = [g.caps[0] for g in act_groups]
+    n = len(act_groups)
+    min_q = model.min_usage()
+    slope_at = min_q + tol.SLOPE_FLOOR
+    saturates = model._saturates
+
+    def residual(x, pinned):
+        cum = [dist.cdf(t) for t in x] + [0.0]
+        qs = [cum[i] - cum[i + 1] for i in range(n)]
+        if saturates:
+            for q, c in zip(qs, caps):
+                if q >= c:
+                    return None
+        ks = [value_capped(q, c) for q, c in zip(qs, caps)]
+        res = [] if pinned else [v - prices[0] - x[0] * ks[0]]
+        for i in range(1, n):
+            res.append((prices[i - 1] - prices[i]) - x[i] * (ks[i] - ks[i - 1]))
+        return res, ks, qs
+
+    def jacobian(x, ks, qs, pinned):
+        sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
+        fs = [dist.density(t) for t in x]
+        rows = range(1, n) if pinned else range(n)
+        jac = []
+        for i in rows:
+            row = [0.0] * n
+            if i == 0:
+                row[0] = -ks[0] - x[0] * sl[0] * fs[0]
+                if n > 1:
+                    row[1] = x[0] * sl[0] * fs[1]
+            else:
+                row[i - 1] = x[i] * sl[i - 1] * fs[i - 1]
+                row[i] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
+                if i + 1 < n:
+                    row[i + 1] = x[i] * sl[i] * fs[i + 1]
+            jac.append(row[1:] if pinned else row)
+        return jac
+
+    def capacity_seed():
+        qs = [max(min(0.4 * c, 0.8 / n), min_q * 1.2 + tol.SEED_USAGE_PAD) for c in caps]
+        total = sum(qs)
+        if total > 0.9:
+            qs = [q * 0.9 / total for q in qs]
+        xs = [0.0] * n
+        cum = 0.0
+        for i in range(n - 1, -1, -1):
+            cum += qs[i]
+            xs[i] = dist.quantile(min(cum, 1.0)) * 0.98
+        for i in range(n - 2, -1, -1):
+            if xs[i] <= xs[i + 1]:
+                xs[i] = min(xs[i + 1] * 1.05 + tol.SEED_CUTOFF_GAP, theta_bar)
+        return xs
+
+    def run(pinned, seed=None):
+        if pinned and n == 1:
+            q0 = dist.cdf(theta_bar)
+            return [theta_bar], [value_capped(q0, caps[0])], [q0]
+        x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
+        if pinned:
+            x[0] = theta_bar
+        top_cap = theta_bar * (3.0 if not pinned else 1.0)
+        off = 1 if pinned else 0
+        for _ in range(tol.NEWTON_ITERATIONS):
+            got = residual(x, pinned)
+            if got is None:
+                return None
+            res, ks, qs = got
+            if max(abs(r) for r in res) < tol.NEWTON_CONVERGED:
+                return x, ks, qs
+            step = solve(jacobian(x, ks, qs, pinned), [-r for r in res])
+            if step is None:
+                return None
+            lam = 1.0
+            base = list(x)
+            for _damp in range(tol.NEWTON_HALVINGS):
+                trial = list(base)
+                for k, s in enumerate(step):
+                    trial[k + off] = base[k + off] + lam * s
+                ok = all(
+                    trial[i] > trial[i + 1] - tol.ORDER_ROUNDOFF for i in range(n - 1)
+                ) and trial[-1] >= -tol.ORDER_ROUNDOFF and trial[0] <= top_cap
+                if ok:
+                    x = [min(max(t, 0.0), top_cap) for t in trial]
+                    break
+                lam *= 0.5
+            else:
+                return None
+        return None
+
+    seed = capacity_seed()
+    out = run(pinned=False, seed=seed)
+    if out is None:
+        out = run(pinned=False)
+    saturated = False
+    if out is not None and out[0][0] > theta_bar + tol.SUPPORT_END_SLACK:
+        out = None
+        saturated = True
+    if out is None:
+        got = run(pinned=True, seed=seed)
+        if got is None:
+            got = run(pinned=True)
+        if got is None:
+            return ("fail", None)
+        x, ks, qs = got
+        slack = v - prices[0] - theta_bar * ks[0]
+        if slack < -tol.PRICE_TOL:
+            return ("fail", None)
+        saturated = True
+    else:
+        x, ks, qs = out
+        saturated = x[0] >= theta_bar - tol.SATURATION_SLACK
+
+    xs = list(x) + [0.0]
+    for i in range(n):
+        if xs[i] - xs[i + 1] <= tol.NEWTON_COLLAPSE:
+            return ("corner", i)
+    if any(q < min_q - tol.NEWTON_MIN_USAGE_SLACK for q in qs):
+        return ("fail", None)
+    return ("ok", (list(x), list(ks), saturated))
+
+
+def _chain_outcome(chain, scenario, prices):
+    """A chain solve's status and payload in float.hex, or the exception
+    type it raised."""
+    groups = [eqm._Group(p, [c], [i]) for i, (p, c) in enumerate(zip(prices, scenario.capacities))]
+    try:
+        status, payload = chain(scenario, groups)
+    except Exception as exc:  # both versions must fail alike
+        return type(exc).__name__
+    if status == "ok":
+        xs, ks, saturated = payload
+        payload = ([float.hex(x) for x in xs], [float.hex(k) for k in ks], saturated)
+    return status, payload
+
+
+_chain_models = st.one_of(
+    st.just(cg.utilization()),
+    st.just(cg.latency()),
+    st.floats(0.0, 2.0).map(cg.general_latency),
+    st.integers(1, 3).map(cg.loss),
+    st.floats(0.05, 1.0).map(cg.outage),
+    st.floats(0.0, 0.3).map(cg.utilization_default),
+)
+
+
+@st.composite
+def _chain_markets(draw):
+    n = draw(st.integers(1, 3))
+    model = draw(_chain_models)
+    if draw(st.booleans()):
+        dist = uniform(draw(st.floats(0.3, 1.0)))
+    else:
+        # breakpoints from positive increments, normalized to end at (theta_bar, 1)
+        k = draw(st.integers(1, 4))
+        dx = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+        df = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+        theta_bar = draw(st.floats(0.3, 1.0))
+        points, x, f = [(0.0, 0.0)], 0.0, 0.0
+        for a, b in zip(dx, df):
+            x, f = x + a, f + b
+            points.append((x, f))
+        dist = tabulated([(px * theta_bar / x, pf / f) for px, pf in points[:-1]]
+                         + [(theta_bar, 1.0)])
+    caps = tuple(10.0 ** draw(st.floats(-6.0, 0.5)) for _ in range(n))
+    v = draw(st.floats(0.2, 8.0))
+    # a low top price against a high V is where the bound skips both
+    # unpinned attempts; a top price near V is where it cannot
+    fracs = sorted(draw(st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n)),
+                   reverse=True)
+    return eqm.MarketScenario(v, caps, model, dist), [v * f for f in fracs]
+
+
+@settings(max_examples=600, deadline=None)
+@given(market=_chain_markets())
+@example(market=(eqm.MarketScenario(6.0, (1.0, 0.8), cg.latency(), uniform()), [4.769, 4.176]))
+@example(market=(eqm.MarketScenario(2.0, (1.0, 0.6, 0.5), cg.utilization()), [1.6, 1.525, 1.505]))
+def test_newton_chain_matches_the_four_attempt_reference(market):
+    scenario, prices = market
+    assert (_chain_outcome(eqm._newton_chain, scenario, prices)
+            == _chain_outcome(_ref_newton_chain, scenario, prices))
+
+
+def test_saturated_duopoly_market_skips_the_unpinned_attempts(monkeypatch):
+    # a seed-0 duopoly_split market that saturates: the reference pays for
+    # two unpinned attempts before the pinned one succeeds
+    scenario = eqm.MarketScenario(2.007415360252278, (1.0018904398940613, 0.9951727861772595),
+                                  cg.utilization())
+    prices = (0.8029661441009113, 0.0)
+    ref_rows = []
+
+    def ref_solve(a, b):
+        ref_rows.append(len(b))
+        return _ref_solve_linear(a, b)
+
+    ref = _chain_outcome(lambda *args: _ref_newton_chain(*args, solve=ref_solve),
+                         scenario, prices)
+    rows = []
+    eliminate = eqm._eliminate
+    monkeypatch.setattr(eqm, "_eliminate", lambda m: rows.append(len(m)) or eliminate(m))
+    got = _chain_outcome(eqm._newton_chain, scenario, prices)
+    assert ref[0] == "ok" and ref[1][2] is True
+    assert 2 in ref_rows          # the reference ran unpinned steps ...
+    assert rows and set(rows) == {1}   # ... this one only pinned ones
+    assert got == ref
