@@ -52,10 +52,7 @@ def main():
             wit = "; ".join(f"{tuple(round(q, 3) for q in prof)}:{case}"
                             for prof, case in rep.witnesses)
             line += f"  ({wit})"
-            restricted = cg.global_monotone(
-                model, caps,
-                cg.c2_profile_filter(model, caps, cg._default_profiles(model, list(caps))),
-            )
+            restricted = cg.global_monotone(model, caps, cg.c2_profile_filter(model, caps))
             line += f"; restricted to equilibrium-feasible profiles: {restricted.verdict}"
         print(f"{model.describe():32s} {line}")
 

@@ -59,8 +59,7 @@ def main():
     print("\n=== combined viability verdicts ===")
     for model in (cg.utilization(), cg.loss(2), cg.latency()):
         sc1 = MarketScenario(2.0, (1.0,), model)
-        rep = viability_report(sc1, splits=((0.3, 0.7),), a_grid=(0.5, 0.9, 1.0),
-                               price_grid=8, sweep_grid=128)
+        rep = viability_report(sc1, splits=((0.3, 0.7),), a_grid=(0.5, 0.9, 1.0))
         print(f"  {model.describe():16s} scaling {rep.scaling.verdict:24s} "
               f"-> {rep.verdict}")
 

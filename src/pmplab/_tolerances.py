@@ -118,6 +118,9 @@ PROBE_DELTA = 1e-3
 PROBE_DELTA_FLOOR = 1e-6 - 1e-15
 # viability_report: a sweep beats the merged class by more than this
 BASELINE_BEAT_MARGIN = 1e-6
+# viability_report: prices per split, and grid intervals of each ratio sweep
+VIABILITY_PRICES = 16
+VIABILITY_SWEEP_GRID = 192
 
 # -- duopoly studies -----------------------------------------------------------
 
@@ -131,8 +134,13 @@ REL_GAP_FLOOR = 1e-12
 CLOSED_FORM_AGREEMENT = 1e-3
 # best_response_II: a coordinate move must gain more than this
 ASCENT_GAIN = 1e-12
-# best_response_II: resolution of the capacity-split search
+# best_response_I: grid intervals of the price search over [0, V]
+BEST_RESPONSE_I_GRID = 256
+# best_response_II: grid points and resolution of the capacity-split search,
+# and the most coordinate-ascent cycles per seed
+SPLIT_GRID = 33
 SPLIT_XTOL = 1e-6
+ASCENT_CYCLES = 3
 # find_nash: converged once no strategy coordinate moves this far in a round
 NASH_MOVE_TOL = 1e-6
 # find_nash verification: neighbourhood radius, the profit gain that counts

@@ -87,10 +87,7 @@ def _cmd_classify(sf: ScenarioFile, args) -> int:
     caps = sf.capacities or (0.3, 0.7)
     scaling = cg.classify_scaling(sf.model, tol=sf.tol)
     unrestricted = cg.global_monotone(sf.model, caps)
-    restricted = cg.global_monotone(
-        sf.model, caps,
-        cg.c2_profile_filter(sf.model, caps, cg._default_profiles(sf.model, list(caps))),
-    )
+    restricted = cg.global_monotone(sf.model, caps, cg.c2_profile_filter(sf.model, caps))
     # the restricted verdict only stands in for the unrestricted one when
     # usage profiles realized at identical-pricing equilibria actually
     # exhibit that slope ordering (not mere ties)
@@ -171,7 +168,7 @@ def _cmd_partition(sf: ScenarioFile, args) -> int:
         raise ScenarioError("partition needs 'split' or 'capacities'")
     total = sum(split)
     scenario = MarketScenario(sf.v, (total,), sf.model, sf.dist)
-    n = args.grid or sf.p_grid
+    n = args.grid or sf.p_grid or 64
     prices = [sf.v * k / n for k in range(n + 1)]
 
     def row(p):
@@ -194,7 +191,7 @@ def _cmd_probe(sf: ScenarioFile, args) -> int:
     if len(caps) != 2:
         raise ScenarioError("probe needs exactly two capacities")
     scenario = MarketScenario(sf.v, caps, sf.model, sf.dist)
-    n = args.grid or 20
+    n = args.grid or sf.p_grid or 20
     prices = [sf.v * k / n for k in range(1, n)]
 
     def row(p):

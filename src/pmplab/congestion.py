@@ -46,6 +46,7 @@ into smaller ones can help:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -83,42 +84,47 @@ INDIFFERENT = "Indifferent"
 MIXED = "Mixed"
 
 # Every kind, with the one parameter its descriptor takes, if any, as
-# (descriptor parameter, CongestionModel field, type).  ``describe`` prints
-# a model in this form and scenario files are parsed from it.
+# (descriptor parameter, type).  ``describe`` prints a model in this form and
+# scenario files are parsed from it.
 DESCRIPTOR_PARAMETERS = {
     "utilization": None,
     "latency": None,
-    "general_latency": ("delta2", "delta2", float),
-    "loss": ("kappa", "kappa", int),
-    "outage": ("eps", "eps", float),
-    "utilization_default": ("eps", "eps_default", float),
+    "general_latency": ("delta2", float),
+    "loss": ("kappa", int),
+    "outage": ("eps", float),
+    "utilization_default": ("eps", float),
 }
 
 
 @dataclass(frozen=True)
 class CongestionModel:
-    """One congestion family plus its parameters.
+    """One congestion family plus its one parameter: delta2 >= 0, kappa a
+    positive integer, eps in (0, 1] or the default consumption >= 0, as the
+    kind's descriptor names it; None for utilization and latency.
 
     Instances are immutable; all methods are pure functions of their
     arguments, so a model can be shared freely across threads.
     """
 
     kind: str
-    delta2: float = 0.0   # general_latency: squared CoV of service time
-    kappa: int = 1        # loss: queue length
-    eps: float = 1.0      # outage: failure factor in (0, 1]
-    eps_default: float = 0.0  # utilization_default: default consumption >= 0
+    param: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in DESCRIPTOR_PARAMETERS:
             raise DomainError(f"unknown congestion kind {self.kind!r}")
-        if self.kind == "general_latency" and self.delta2 < 0.0:
+        spec, p = DESCRIPTOR_PARAMETERS[self.kind], self.param
+        if spec is None:
+            if p is not None:
+                raise DomainError(f"congestion kind {self.kind!r} takes no parameter")
+        elif p is None:
+            raise DomainError(f"congestion kind {self.kind!r} needs parameter {spec[0]!r}")
+        if self.kind == "general_latency" and p < 0.0:
             raise DomainError("delta2 must be nonnegative")
-        if self.kind == "loss" and (self.kappa < 1 or int(self.kappa) != self.kappa):
+        if self.kind == "loss" and (p < 1 or int(p) != p):
             raise DomainError("kappa must be a positive integer")
-        if self.kind == "outage" and not 0.0 < self.eps <= 1.0:
+        if self.kind == "outage" and not 0.0 < p <= 1.0:
             raise DomainError("eps must lie in (0, 1]")
-        if self.kind == "utilization_default" and self.eps_default < 0.0:
+        if self.kind == "utilization_default" and p < 0.0:
             raise DomainError("default consumption must be nonnegative")
         # per-kind kernels, built once: the solvers evaluate them millions of
         # times.  Plain attributes, not fields, so equality, hashing and repr
@@ -128,13 +134,13 @@ class CongestionModel:
 
     def __reduce__(self):
         # the kernels are closures: rebuild them rather than pickle them
-        return (type(self), (self.kind, self.delta2, self.kappa, self.eps, self.eps_default))
+        return (type(self), (self.kind, self.param))
 
     # -- domain -------------------------------------------------------------
 
     def min_usage(self) -> float:
         """Smallest admissible usage (0, or the default consumption)."""
-        return self.eps_default if self.kind == "utilization_default" else 0.0
+        return self.param if self.kind == "utilization_default" else 0.0
 
     def check_domain(self, q: float, c: float) -> None:
         if c <= 0.0:
@@ -178,12 +184,12 @@ class CongestionModel:
     # -- misc ---------------------------------------------------------------
 
     def describe(self) -> str:
-        param = DESCRIPTOR_PARAMETERS[self.kind]
-        if param is None:
+        spec = DESCRIPTOR_PARAMETERS[self.kind]
+        if spec is None:
             return self.kind
-        name, attr, typ = param
-        value = getattr(self, attr)
-        return f"{self.kind}({name}={value:g})" if typ is float else f"{self.kind}({name}={value})"
+        name, typ = spec
+        value = f"{self.param:g}" if typ is float else f"{self.param}"
+        return f"{self.kind}({name}={value})"
 
 
 def _kernels(model: CongestionModel) -> dict:
@@ -205,7 +211,7 @@ def _kernels(model: CongestionModel) -> dict:
     * ``_saturates`` marks the latency kinds, whose level diverges as usage
       reaches capacity.
 
-    The kind and parameters are settled here, once per model, so the calls
+    The kind and parameter are settled here, once per model, so the calls
     do no dispatch.
     """
     kind = model.kind
@@ -250,7 +256,7 @@ def _kernels(model: CongestionModel) -> dict:
             members = [(c, value(0.0, c)) for c in caps]
             return lambda lev: sum([0.0 if lev <= fl else c - 1.0 / lev for c, fl in members])
     elif kind == "general_latency":
-        delta2 = model.delta2
+        delta2 = model.param
 
         def value(q, c):
             return q * (1.0 + delta2) / (2.0 * c * (c - q)) + 1.0 / c
@@ -265,7 +271,7 @@ def _kernels(model: CongestionModel) -> dict:
                 for c, fl in members
             ])
     elif kind == "loss":
-        kappa = model.kappa
+        kappa = model.param
 
         def value(q, c):
             rho = q / c
@@ -304,7 +310,7 @@ def _kernels(model: CongestionModel) -> dict:
         def usage(caps):
             return lambda lev: sum([0.0 if lev <= 0.0 else inverse(lev, c) for c in caps])
     else:  # outage
-        eps = model.eps
+        eps = model.param
 
         def value(q, c):
             return (eps * q / c) ** c
@@ -388,19 +394,19 @@ def latency() -> CongestionModel:
 
 
 def general_latency(delta2: float) -> CongestionModel:
-    return CongestionModel("general_latency", delta2=float(delta2))
+    return CongestionModel("general_latency", float(delta2))
 
 
 def loss(kappa: int) -> CongestionModel:
-    return CongestionModel("loss", kappa=int(kappa))
+    return CongestionModel("loss", int(kappa))
 
 
 def outage(eps: float) -> CongestionModel:
-    return CongestionModel("outage", eps=float(eps))
+    return CongestionModel("outage", float(eps))
 
 
 def utilization_default(eps: float) -> CongestionModel:
-    return CongestionModel("utilization_default", eps_default=float(eps))
+    return CongestionModel("utilization_default", float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -423,25 +429,19 @@ class ScalingClass:
     min_gap: float = 0.0
 
 
-def _default_scaling_grid(model: CongestionModel):
-    points = []
-    for i in range(20):
-        c = 0.2 + (2.0 - 0.2) * i / 19
-        for j in range(20):
-            q = (0.05 + 0.90 * j / 19) * c
-            points.append((q, c))
-    return points
+_SCALING_POINTS = tuple(
+    ((0.05 + 0.90 * j / 19) * c, c)
+    for c in (0.2 + (2.0 - 0.2) * i / 19 for i in range(20))
+    for j in range(20)
+)
+_SCALE_FACTORS = tuple(0.1 * k for k in range(1, 10))
 
 
-def classify_scaling(
-    model: CongestionModel,
-    q_grid: Optional[Sequence[tuple]] = None,
-    alpha_grid: Optional[Sequence[float]] = None,
-    tol: float = SCALING_GAP_TOL,
-) -> ScalingClass:
+def classify_scaling(model: CongestionModel, tol: float = SCALING_GAP_TOL) -> ScalingClass:
     """Classify how congestion responds to scaling a class down.
 
-    For every grid point (Q, C) and every scale factor a the gap
+    For every point (Q, C) of a fixed 20 x 20 grid (C in [0.2, 2], Q from
+    5 % to 95 % of C) and every scale factor a = 0.1, ..., 0.9 the gap
     ``K(Q, C) - K(aQ, aC)`` is evaluated.  All gaps within
     ``SCALING_INDIFFERENT_TOL`` of zero: Indifferent.  All gaps >= -tol with at
     least one above tol: PartitionPreferred (scaled-down copies are no more
@@ -449,22 +449,18 @@ def classify_scaling(
     Mixed, with one witness in each direction.
 
     Grid points whose scaled image leaves the model's domain are skipped;
-    with the default grids this only affects utilization_default, whose
-    minimum-usage bound must hold on both sides of the comparison.
+    this only affects utilization_default, whose minimum-usage bound must
+    hold on both sides of the comparison.
     """
-    if q_grid is None:
-        q_grid = _default_scaling_grid(model)
-    if alpha_grid is None:
-        alpha_grid = [0.1 * k for k in range(1, 10)]
     lo = model.min_usage()
     max_gap, min_gap = 0.0, 0.0
     witness_down = witness_up = None
     evaluated = 0
-    for q, c in q_grid:
+    for q, c in _SCALING_POINTS:
         if q < lo or (model._saturates and q >= c):
             continue
         base = model.evaluate(q, c)
-        for a in alpha_grid:
+        for a in _SCALE_FACTORS:
             if a * q < lo:
                 continue
             gap = base - model.evaluate(a * q, a * c)
@@ -551,33 +547,18 @@ def _default_profiles(model: CongestionModel, capacities):
     """Deterministic lattice of usage profiles: every combination of
     per-class usage fractions, skipping sub-minimum points."""
     lo = model.min_usage()
-    m = len(capacities)
-    profiles = []
-
-    def rec(prefix):
-        if len(prefix) == m:
-            profiles.append(tuple(prefix))
-            return
-        c = capacities[len(prefix)]
-        for f in _DEFAULT_FRACTIONS:
-            q = f * c
-            if q >= lo:
-                rec(prefix + [q])
-
-    rec([])
-    return profiles
+    usages = [[q for q in (f * c for f in _DEFAULT_FRACTIONS) if q >= lo] for c in capacities]
+    return list(itertools.product(*usages))
 
 
-def c2_profile_filter(model: CongestionModel, capacities, profiles):
-    """Keep only profiles whose congestion levels are nondecreasing from
-    class 1 to class m — the ordering an equilibrium can actually produce."""
-    kept = []
-    for prof in profiles:
+def c2_profile_filter(model: CongestionModel, capacities):
+    """The default profile lattice of ``global_monotone``, keeping only the
+    profiles whose congestion levels are nondecreasing from class 1 to
+    class m — the ordering an equilibrium can actually produce."""
+    def nondecreasing(prof):
         levels = [model._value_capped(q, c) for q, c in zip(prof, capacities)]
-        if all(levels[i] <= levels[i + 1] + PROFILE_LEVEL_TIE
-               for i in range(len(levels) - 1)):
-            kept.append(prof)
-    return kept
+        return all(a <= b + PROFILE_LEVEL_TIE for a, b in zip(levels, levels[1:]))
+    return [prof for prof in _default_profiles(model, capacities) if nondecreasing(prof)]
 
 
 def global_monotone(
@@ -592,7 +573,7 @@ def global_monotone(
     "Both" are compatible with every verdict.
     """
     if profiles is None:
-        profiles = _default_profiles(model, list(capacities))
+        profiles = _default_profiles(model, capacities)
     first_m1 = first_m2 = None
     for prof in profiles:
         case = monotone_case(model, capacities, prof)

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._tolerances import (
-    ACCESS_VALUE_SLACK, ASCENT_GAIN, CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP,
-    NASH_MOVE_TOL, NASH_SPLIT_MARGIN, NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK,
-    PLATEAU_TOL, PRICE_XTOL, REL_GAP_FLOOR, SPLIT_XTOL, STRATEGY_ORDER_SLACK,
+    ACCESS_VALUE_SLACK, ASCENT_CYCLES, ASCENT_GAIN, BEST_RESPONSE_I_GRID,
+    CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP, NASH_MOVE_TOL, NASH_SPLIT_MARGIN,
+    NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK, PLATEAU_TOL, PRICE_XTOL, REL_GAP_FLOOR,
+    SPLIT_GRID, SPLIT_XTOL, STRATEGY_ORDER_SLACK,
 )
 from .equilibrium import (
     MarketScenario,
@@ -119,6 +120,14 @@ class MarketEquilibrium:
         return sum(q for q, o in zip(self.eq.usages, self.owners) if o == owner)
 
 
+def _merged_classes(strat_i: ProviderStrategy, strat_ii: ProviderStrategy) -> list:
+    """Both offers as (price, capacity, owner), highest price first; equal prices
+    put provider I first and keep each provider's order (the sort is stable)."""
+    entries = [(p, c, "I") for p, c in strat_i.classes]
+    entries += [(p, c, "II") for p, c in strat_ii.classes]
+    return sorted(entries, key=lambda e: (-e[0], e[2]))
+
+
 def market_equilibrium(
     duo: DuopolyScenario,
     strat_i: ProviderStrategy,
@@ -130,16 +139,13 @@ def market_equilibrium(
     providers stay distinct classes and share users through level
     matching.  Profits are attributed by ownership.
     """
-    entries = [(p, c, "I") for p, c in strat_i.classes]
-    entries += [(p, c, "II") for p, c in strat_ii.classes]
-    if not entries:
+    merged = _merged_classes(strat_i, strat_ii)
+    if not merged:
         raise PreconditionError("no classes offered by either provider")
-    if any(p > duo.v + ACCESS_VALUE_SLACK for p, _c, _o in entries):
+    if any(p > duo.v + ACCESS_VALUE_SLACK for p, _c, _o in merged):
         raise DomainError("prices must not exceed the access value")
-    if len(entries) > 3:
+    if len(merged) > 3:
         raise PreconditionError("at most three merged classes are supported")
-    order = sorted(range(len(entries)), key=lambda i: (-entries[i][0], entries[i][2], i))
-    merged = [entries[i] for i in order]
     scenario = MarketScenario(
         duo.v, tuple(c for _p, c, _o in merged), duo.model, duo.dist
     )
@@ -242,14 +248,12 @@ def _closed_form_derivative(duo, p_i, strat_ii, case):
     """
     if case in ("II1>=II2>=I", "II>=I", "monopoly"):
         return None, "corrupted-source" if case != "monopoly" else "inapplicable"
-    me = market_equilibrium(duo, ProviderStrategy.one(p_i, duo.cap_i), strat_ii)
-    eq = me.eq
+    strat_i = ProviderStrategy.one(p_i, duo.cap_i)
+    eq = market_equilibrium(duo, strat_i, strat_ii).eq
     if eq.saturated or eq.degenerate:
         return None, "inapplicable"
     model = duo.model
-    entries = [(p_i, duo.cap_i, "I")] + [(p, c, "II") for p, c in strat_ii.classes]
-    entries.sort(key=lambda e: (-e[0], e[2]))
-    caps_sorted = [c for _p, c, _o in entries]
+    caps_sorted = [c for _p, c, _o in _merged_classes(strat_i, strat_ii)]
     th = list(eq.cutoffs)
     K = list(eq.levels)
     k = [model._slope(q, c) for q, c in zip(eq.usages, caps_sorted)]
@@ -307,11 +311,13 @@ def _segmented_price_max(f, v, boundaries, grid):
     return best_x, best_v
 
 
-def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy, grid: int = 256):
+def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy):
     """Provider I's profit-maximizing price against a fixed rival offer.
 
-    A price the search visits again is solved once per call; nothing is
-    cached across calls.
+    Each price-ordering case segment is scanned on its share of a
+    ``BEST_RESPONSE_I_GRID``-interval grid over [0, V] (at least 32
+    intervals) and refined by golden section.  A price the search visits
+    again is solved once per call; nothing is cached across calls.
     """
     profits = {}  # price -> provider I's profit, None where the solve raised
 
@@ -324,19 +330,20 @@ def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy, grid: int 
         return profits[p]
 
     boundaries = [p for p, _c in strat_ii.classes]
-    return _segmented_price_max(f, duo.v, boundaries, grid=grid)
+    return _segmented_price_max(f, duo.v, boundaries, grid=BEST_RESPONSE_I_GRID)
 
 
 def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
-                     grid: int = 192, split_grid: int = 33, cycles: int = 3, _one=None):
+                     grid: int = 192, _one=None):
     """Provider II's best offer against a fixed provider-I price.
 
     mode 'one': a single class at capacity C_II, price optimized per case
-    segment.  mode 'two': both prices and the capacity split optimized by
-    coordinate ascent from five deterministic starts; the one-class
-    optimum embedded as an equal-price strategy is always among the
-    candidates, so the two-class value never falls below it (beyond the
-    ascent tolerance).
+    segment on a ``grid``-interval scan.  mode 'two': both prices and the
+    capacity split optimized by coordinate ascent from five deterministic
+    starts, at most ``ASCENT_CYCLES`` cycles each, the split scanned on
+    ``SPLIT_GRID`` points; the one-class optimum embedded as an equal-price
+    strategy is always among the candidates, so the two-class value never
+    falls below it (beyond the ascent tolerance).
 
     An offer the search visits again (after zero-capacity classes are
     dropped, so a zero split is the one-class offer) is solved once per
@@ -398,7 +405,7 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
         val = value(p1, p2, s)
         if val is None:
             val = -math.inf  # let the first feasible move adopt the seed
-        for _ in range(cycles):
+        for _ in range(ASCENT_CYCLES):
             moved = False
             x, fx, _ = _grid_golden_max(lambda t: value(t, p2, s), p2, v, n=24,
                                         xtol=PRICE_XTOL)
@@ -416,7 +423,7 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
             if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 p1, p2, val, moved = x, x, fx, True
             x, fx, _ = _grid_golden_max(lambda t: value(p1, p2, t), 0.0, 1.0,
-                                        n=split_grid - 1, xtol=SPLIT_XTOL)
+                                        n=SPLIT_GRID - 1, xtol=SPLIT_XTOL)
             if x is not None and fx is not None and fx > val + ASCENT_GAIN:
                 s, val, moved = x, fx, True
             if not moved:

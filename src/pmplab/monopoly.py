@@ -26,6 +26,7 @@ from ._tolerances import (
     BASELINE_BEAT_MARGIN, BOTTOM_PRICE_SLACK, CUTOFF_ASCENT_GAIN, CUTOFF_GAP,
     CUTOFF_XTOL, FREE_PRICE_ROUNDS, NONEMPTY_USAGE, PLATEAU_TOL, PRICE_XTOL,
     PROBE_CUTOFF_GAP, PROBE_DELTA, PROBE_DELTA_FLOOR, SEED_PRICE_XTOL, SPLIT_SUM_TOL,
+    VIABILITY_PRICES, VIABILITY_SWEEP_GRID,
 )
 from .congestion import (
     INDIFFERENT,
@@ -466,11 +467,11 @@ def viability_report(
     scenario: MarketScenario,
     splits: Iterable[Sequence[float]] = ((0.3, 0.7),),
     a_grid: Sequence[float] = (0.25, 0.5, 0.75, 0.9, 1.0),
-    price_grid: int = 16,
-    sweep_grid: int = 192,
 ) -> ViabilityReport:
     """Combine the classifier, probe preconditions and sweeps into a verdict.
 
+    Each split meets the merged class at the n = ``VIABILITY_PRICES`` prices
+    V (k + 1/2) / n, and its sweeps use ``VIABILITY_SWEEP_GRID`` intervals.
     PMP-viable requires the scale-down test to favour (or be indifferent
     to) partitioning and a consistent monotone slope ordering at the
     identical-pricing equilibria of every requested split.  PMP-nonviable
@@ -485,20 +486,19 @@ def viability_report(
     comparisons = {}
     cases = []
     sweeps = {}
+    prices = [scenario.v * (k + 0.5) / VIABILITY_PRICES for k in range(VIABILITY_PRICES)]
     for split in splits:
         split = tuple(split)
         split_sc = scenario.with_capacities(split)
         rows = []
-        for k in range(price_grid):
-            p = scenario.v * (k + 0.5) / price_grid
+        for p in prices:
             try:
                 rows.append(partition_comparison(scenario, p, split))
             except PmplabError as exc:
                 notes.append(f"partition comparison failed at p={p:.6g}: {exc}")
         comparisons[split] = tuple(rows)
 
-        for k in range(price_grid):
-            p = scenario.v * (k + 0.5) / price_grid
+        for p in prices:
             try:
                 eq = identical_price_equilibrium(split_sc, p)
             except PmplabError:
@@ -510,7 +510,7 @@ def viability_report(
         for objective in ("welfare", "profit"):
             try:
                 sweeps[(split, objective)] = ratio_sweep(
-                    split_sc, tuple(a_grid), objective, grid=sweep_grid
+                    split_sc, tuple(a_grid), objective, grid=VIABILITY_SWEEP_GRID
                 )
             except PmplabError as exc:
                 notes.append(f"sweep failed for split {split} ({objective}): {exc}")

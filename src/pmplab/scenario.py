@@ -61,7 +61,7 @@ class ScenarioFile:
     capacities: Optional[tuple] = None
     split: Optional[tuple] = None
     a_grid: tuple = tuple(k / 20 for k in range(21))
-    p_grid: int = 64
+    p_grid: Optional[int] = None   # unset: 64 intervals for partition, 20 for probe
     pi_grid: int = 17
     delta: float = PROBE_DELTA
     tol: float = SCALING_GAP_TOL
@@ -106,14 +106,14 @@ def _parse_model(text, line):
     name, kw = _parse_call(text, line)
     if name not in cg.DESCRIPTOR_PARAMETERS:
         raise ScenarioError(f"unknown model {name!r}", line)
-    fields = {}
+    value = None
     if cg.DESCRIPTOR_PARAMETERS[name] is not None:
-        param, attr, typ = cg.DESCRIPTOR_PARAMETERS[name]
+        param, typ = cg.DESCRIPTOR_PARAMETERS[name]
         if param not in kw:
             raise ScenarioError(f"model {name!r} needs parameter {param!r}", line)
-        fields[attr] = _num(kw.pop(param), line, typ)
+        value = _num(kw.pop(param), line, typ)
     try:
-        model = cg.CongestionModel(name, **fields)
+        model = cg.CongestionModel(name, value)
     except cg.DomainError as exc:
         raise ScenarioError(str(exc), line) from None
     _reject_unread(kw, f"model {name!r}", line)
@@ -201,6 +201,8 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
         split = _parse_grid(*raw["split"])
         if any(c < 0 for c in split):
             raise ScenarioError("split parts must be nonnegative", raw["split"][1])
+        if not any(c > 0 for c in split):
+            raise ScenarioError("split must have a positive part", raw["split"][1])
         out.split = split
     if "a_grid" in raw:
         grid = _parse_grid(*raw["a_grid"])
@@ -229,6 +231,9 @@ def parse_scenario_text(text: str, base_dir: str = ".") -> ScenarioFile:
             if val < 0:
                 raise ScenarioError(f"{cap_key} must be nonnegative", raw[cap_key][1])
             setattr(out, cap_key, val)
+    if out.duopoly_cap_i == 0 and out.duopoly_cap_ii == 0:
+        raise ScenarioError("duopoly_cap_i and duopoly_cap_ii must not both be zero",
+                            max(raw["duopoly_cap_i"][1], raw["duopoly_cap_ii"][1]))
     return out
 
 

@@ -260,7 +260,7 @@ def test_criterion_08_bijection_roundtrip():
         for i in range(m):
             q = bounds[i] - bounds[i + 1]
             lo = q / 0.8 if model.kind in ("latency", "general_latency") else q * (0.4 + next(rng))
-            caps.append(max(lo, model.eps_default * 3, 0.1) + 0.3 * next(rng))
+            caps.append(max(lo, model.min_usage() * 3, 0.1) + 0.3 * next(rng))
         sc = MarketScenario(2.0, tuple(caps), model)
         try:
             eq = prices_from_cutoffs(sc, th)

@@ -200,6 +200,38 @@ def test_probe_command(tmp_path):
         assert cols[4] in ("M1", "M2")
 
 
+def test_probe_reads_the_scenario_price_grid(tmp_path):
+    scen = write(tmp_path, UTL_TWO.replace("p_grid       = 16", "p_grid = 4"))
+    assert main(["probe", "--scenario", scen, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "probe.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.0", "1.5"]
+
+
+def test_probe_without_a_price_grid_uses_twenty_intervals(tmp_path):
+    scen = write(tmp_path, "model = utilization\nV = 2.0\ncapacities = 0.3, 0.7\n")
+    assert main(["probe", "--scenario", scen, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "probe.csv").read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [k / 10 for k in range(1, 20)]
+
+
+@pytest.mark.parametrize("command,text,line,message", [
+    ("partition", "model = latency\nV = 2.0\nsplit = 0, 0\n", 3,
+     "split must have a positive part"),
+    ("duopoly", "model = utilization\nV = 2.0\nduopoly_cap_ii = 0\nduopoly_cap_i = 0\n", 4,
+     "duopoly_cap_i and duopoly_cap_ii must not both be zero"),
+])
+def test_a_scenario_with_no_capacity_is_an_input_error(tmp_path, capsys, command, text,
+                                                      line, message):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.line == line
+    scen = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", scen, "--out", str(out)]) == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+    assert not (out / f"{command}.csv").exists()
+
+
 def test_duopoly_command(tmp_path):
     scen = write(tmp_path, DUO)
     code = main(["duopoly", "--scenario", scen, "--out", str(tmp_path)])

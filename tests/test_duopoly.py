@@ -256,27 +256,27 @@ def _curve(points):
 # the utilization_default reply runs into a near-empty premium class, where
 # most markets fall back to the nested bisection
 _CALLS = {
-    "br_I_utilization": lambda: duo.best_response_I(UTL, RIVAL, grid=64),
-    "br_I_default": lambda: duo.best_response_I(UD, RIVAL, grid=64),
+    "br_I_utilization": lambda: duo.best_response_I(UTL, RIVAL),
+    "br_I_default": lambda: duo.best_response_I(UD, RIVAL),
     "br_II_one": lambda: _offer(duo.best_response_II(UTL, 1.2, mode="one", grid=64)),
     "br_II_two": lambda: _offer(duo.best_response_II(UTL, 1.2, mode="two", grid=64)),
-    "br_II_two_default": lambda: _offer(duo.best_response_II(
-        UD, 1.2, mode="two", grid=32, split_grid=9, cycles=1)),
+    "br_II_two_default": lambda: _offer(duo.best_response_II(UD, 1.2, mode="two", grid=32)),
     "curve": lambda: _curve(duo.duopoly_curve(UTL, (0.8, 1.6), grid=32)),
     "curve_absent": lambda: _curve(duo.duopoly_curve(ABSENT, (0.8,), grid=32)),
 }
 
 # float.hex of each result as found with every offer solved afresh and a
-# second one-class search per curve point: the memo must not move a bit
+# second one-class search per curve point: the memo must not move a bit.
+# The best-response pins run at the package's default search limits.
 _BITS = {
-    "br_I_utilization": ("0x1.b3c18424d2e2ep-1", "0x1.0fa7685ca7e7cp-1"),
-    "br_I_default": ("0x1.96bb97e46270ep-1", "0x1.0c7192b24d510p-1"),
+    "br_I_utilization": ("0x1.b3c186e051838p-1", "0x1.0fa7685ca7e7dp-1"),
+    "br_I_default": ("0x1.96bb97809b054p-1", "0x1.0c719299bb3f9p-1"),
     "br_II_one": ("0x1.03bfaa6db005cp+0", "0x1.0000000000000p+0", "0x1.4e84af0defa05p-1"),
     "br_II_two": ("0x1.11e62e9080180p+0", "0x1.941a1b4924634p-1",
                   "0x1.e5224db987bebp-1", "0x1.af9792db6e730p-3", "0x1.58feff56a1fdbp-1"),
-    "br_II_two_default": ("0x1.34fac22f18e08p+0", "0x1.ee75c7ecd5e02p-22",
-                          "0x1.0432afdd21596p+0", "0x1.fffff08c51c0ap-1",
-                          "0x1.77476d4893e34p-1"),
+    "br_II_two_default": ("0x1.6029d899eb112p+0", "0x1.05d220ec554afp-21",
+                          "0x1.033f3fbb81af4p+0", "0x1.ffffefa2ddf14p-1",
+                          "0x1.800ab3bab0be6p-1"),
     "curve": (
         ("0x1.999999999999ap-1", "0x1.534ed9930705fp-2",
          "0x1.a4602dc25f4aap-2", "0x1.b2d4a833c91bcp-2"),

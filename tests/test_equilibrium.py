@@ -278,7 +278,7 @@ def test_bijection_roundtrip_200_scenarios():
         for i in range(m):
             q = bounds[i] - bounds[i + 1]
             lo = q / 0.8 if model.kind in ("latency", "general_latency") else q * (0.4 + next(rng))
-            caps.append(max(lo, model.eps_default * 3, 0.1) + 0.3 * next(rng))
+            caps.append(max(lo, model.min_usage() * 3, 0.1) + 0.3 * next(rng))
         sc = eqm.MarketScenario(2.0, tuple(caps), model)
         try:
             eq = eqm.prices_from_cutoffs(sc, th)
@@ -396,7 +396,7 @@ def _ref_pooled_level(model, caps, q):
     if model.kind == "utilization":
         return q / total
     if model.kind == "utilization_default":
-        return max(q - len(caps) * model.eps_default, 0.0) / total
+        return max(q - len(caps) * model.min_usage(), 0.0) / total
     return model._value_capped(q / total, 1.0)  # loss: rho = q / total
 
 

@@ -246,6 +246,5 @@ def test_partition_preferred_inequalities_on_grid():
 ])
 def test_viability_verdicts(model, verdict):
     sc = MarketScenario(2.0, (1.0,), model)
-    rep = mono.viability_report(sc, splits=((0.3, 0.7),),
-                                a_grid=(0.5, 0.9, 1.0), price_grid=8, sweep_grid=128)
+    rep = mono.viability_report(sc, splits=((0.3, 0.7),), a_grid=(0.5, 0.9, 1.0))
     assert rep.verdict == verdict
