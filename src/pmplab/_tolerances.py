@@ -90,11 +90,18 @@ CHAIN_RESIDUAL_TOL = 1e-6
 PLATEAU_TOL = 1e-12
 # resolution of every price search
 PRICE_XTOL = 1e-7
+# a price search split at price-ordering case boundaries scans each segment
+# on at least this many grid intervals
+SEGMENT_GRID_FLOOR = 32
 
 # -- monopoly studies ----------------------------------------------------------
 
-# maximize_free_prices: resolution of the identical-price seed search
+# maximize_free_prices: grid intervals and resolution of the identical-price
+# seed search
+SEED_PRICE_GRID = 256
 SEED_PRICE_XTOL = 1e-8
+# maximize_free_prices: grid intervals of each cutoff move
+CUTOFF_GRID = 32
 # maximize_free_prices: resolution of each cutoff move
 CUTOFF_XTOL = 1e-9
 # maximize_free_prices: ascent rounds per start
@@ -134,6 +141,8 @@ REL_GAP_FLOOR = 1e-12
 CLOSED_FORM_AGREEMENT = 1e-3
 # best_response_II: a coordinate move must gain more than this
 ASCENT_GAIN = 1e-12
+# best_response_II: grid intervals of each price line of the ascent
+ASCENT_PRICE_GRID = 24
 # best_response_I: grid intervals of the price search over [0, V]
 BEST_RESPONSE_I_GRID = 256
 # best_response_II: grid points and resolution of the capacity-split search,

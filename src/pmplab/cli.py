@@ -26,11 +26,13 @@ import sys
 
 from . import congestion as cg
 from . import duopoly as duop
-from ._tolerances import NONEMPTY_USAGE, SPLIT_DOMINANCE_SLACK
+from ._tolerances import SPLIT_DOMINANCE_SLACK
 from .duopoly import DuopolyScenario
-from .equilibrium import MarketScenario, identical_price_equilibrium
+from .equilibrium import MarketScenario
 from .errors import PmplabError, ScenarioError
-from .monopoly import local_improvement_probe, partition_comparison, ratio_sweep
+from .monopoly import (
+    identical_price_cases, local_improvement_probe, partition_comparison, ratio_sweep,
+)
 from .scenario import ScenarioFile, parse_scenario
 
 __all__ = ["main"]
@@ -91,16 +93,9 @@ def _cmd_classify(sf: ScenarioFile, args) -> int:
     # the restricted verdict only stands in for the unrestricted one when
     # usage profiles realized at identical-pricing equilibria actually
     # exhibit that slope ordering (not mere ties)
-    eq_cases = set()
     split_sc = MarketScenario(sf.v, caps, sf.model, sf.dist)
-    for k in range(1, 8):
-        try:
-            eq = identical_price_equilibrium(split_sc, sf.v * k / 8)
-        except PmplabError:
-            continue
-        if all(q > NONEMPTY_USAGE for q in eq.usages):
-            eq_cases.add(cg.monotone_case(sf.model, caps, eq.usages))
-    strict_cases = eq_cases - {"Both"}
+    eq_cases = identical_price_cases(split_sc, [sf.v * k / 8 for k in range(1, 8)])
+    strict_cases = {case for _p, case in eq_cases} - {"Both"}
     restricted_case = restricted.verdict.replace("Consistent", "")
     restricted_applies = (
         restricted.verdict != "Violated" and strict_cases == {restricted_case}

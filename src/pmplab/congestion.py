@@ -118,6 +118,8 @@ class CongestionModel:
                 raise DomainError(f"congestion kind {self.kind!r} takes no parameter")
         elif p is None:
             raise DomainError(f"congestion kind {self.kind!r} needs parameter {spec[0]!r}")
+        elif not math.isfinite(p):
+            raise DomainError(f"{spec[0]} must be finite, got {p}")
         if self.kind == "general_latency" and p < 0.0:
             raise DomainError("delta2 must be nonnegative")
         if self.kind == "loss" and (p < 1 or int(p) != p):
@@ -126,6 +128,8 @@ class CongestionModel:
             raise DomainError("eps must lie in (0, 1]")
         if self.kind == "utilization_default" and p < 0.0:
             raise DomainError("default consumption must be nonnegative")
+        if spec is not None and spec[1] is int:
+            object.__setattr__(self, "param", int(p))  # so kappa = 2.0 loops twice
         # per-kind kernels, built once: the solvers evaluate them millions of
         # times.  Plain attributes, not fields, so equality, hashing and repr
         # still see only the fields.

@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ._search import _ascend, _feasible, _segmented_price_max
 from ._tolerances import (
-    ACCESS_VALUE_SLACK, ASCENT_CYCLES, ASCENT_GAIN, BEST_RESPONSE_I_GRID,
+    ACCESS_VALUE_SLACK, ASCENT_CYCLES, ASCENT_GAIN, ASCENT_PRICE_GRID, BEST_RESPONSE_I_GRID,
     CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP, NASH_MOVE_TOL, NASH_SPLIT_MARGIN,
-    NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK, PLATEAU_TOL, PRICE_XTOL, REL_GAP_FLOOR,
-    SPLIT_GRID, SPLIT_XTOL, STRATEGY_ORDER_SLACK,
+    NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK, PRICE_XTOL, REL_GAP_FLOOR, SPLIT_GRID,
+    SPLIT_XTOL, STRATEGY_ORDER_SLACK,
 )
 from .equilibrium import (
     MarketScenario,
@@ -39,7 +40,6 @@ from .errors import (
     PmplabError,
     PreconditionError,
 )
-from .monopoly import _grid_golden_max
 from .population import TypeDistribution, uniform
 from .congestion import CongestionModel
 
@@ -296,39 +296,16 @@ def _closed_form_derivative(duo, p_i, strat_ii, case):
 # best responses
 # ---------------------------------------------------------------------------
 
-def _segmented_price_max(f, v, boundaries, grid):
-    """Maximize f over [0, v], scanning each price-ordering case separately."""
-    cuts = sorted({0.0, v, *(b for b in boundaries if 0.0 < b < v)})
-    best_x = best_v = None
-    for lo, hi in zip(cuts, cuts[1:]):
-        n = max(32, int(grid * (hi - lo) / v))
-        x, val, _ = _grid_golden_max(f, lo, hi, n=n, xtol=PRICE_XTOL)
-        if val is not None and (best_v is None or val > best_v
-                                or (val >= best_v - PLATEAU_TOL and x > best_x)):
-            best_x, best_v = x, val
-    if best_x is None:
-        raise ConvergenceError("no feasible price in any case segment")
-    return best_x, best_v
-
-
 def best_response_I(duo: DuopolyScenario, strat_ii: ProviderStrategy):
     """Provider I's profit-maximizing price against a fixed rival offer.
 
     Each price-ordering case segment is scanned on its share of a
-    ``BEST_RESPONSE_I_GRID``-interval grid over [0, V] (at least 32
-    intervals) and refined by golden section.  A price the search visits
-    again is solved once per call; nothing is cached across calls.
+    ``BEST_RESPONSE_I_GRID``-interval grid over [0, V] (at least
+    ``SEGMENT_GRID_FLOOR`` intervals) and refined by golden section.  A
+    price the search visits again is solved once per call; nothing is
+    cached across calls.
     """
-    profits = {}  # price -> provider I's profit, None where the solve raised
-
-    def f(p):
-        if p not in profits:
-            try:
-                profits[p] = _profit_i(duo, p, strat_ii)
-            except PmplabError:
-                profits[p] = None
-        return profits[p]
-
+    f = _feasible(lambda p: _profit_i(duo, p, strat_ii))
     boundaries = [p for p, _c in strat_ii.classes]
     return _segmented_price_max(f, duo.v, boundaries, grid=BEST_RESPONSE_I_GRID)
 
@@ -353,88 +330,58 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
 
     Returns (strategy, profit).
     """
+    if mode not in ("one", "two"):
+        raise DomainError(f"mode must be 'one' or 'two', got {mode!r}")
     if duo.cap_ii <= 0.0:
         return ProviderStrategy(()), 0.0
     v = duo.v
-    profits = {}  # offer classes -> provider II's profit, None where the solve raised
-
-    def profit(strat):
-        key = strat.classes
-        if key not in profits:
-            try:
-                profits[key] = _profit_ii(duo, p_i, strat)
-            except PmplabError:
-                profits[key] = None
-        return profits[key]
-
-    def f_one(p):
-        try:
-            strat = ProviderStrategy.one(p, duo.cap_ii)
-        except PmplabError:
-            return None
-        return profit(strat)
+    # keyed on the offer's classes, so a zero split shares the one-class solve
+    profit = _feasible(lambda classes: _profit_ii(duo, p_i, ProviderStrategy(classes)))
 
     if _one is None:
+        f_one = lambda p: profit(((p, duo.cap_ii),))
         p_one, v_one = _segmented_price_max(f_one, v, [p_i], grid=grid)
     else:
         p_one, v_one = _one
     if mode == "one":
         return ProviderStrategy.one(p_one, duo.cap_ii), v_one
-    if mode != "two":
-        raise DomainError(f"mode must be 'one' or 'two', got {mode!r}")
 
-    def value(p1, p2, s):
+    def offer(x):
+        p1, p2, s = x
+        return ProviderStrategy.two(p1, s * duo.cap_ii, p2, (1.0 - s) * duo.cap_ii)
+
+    def value(x):
+        p1, p2, s = x
         if not (0.0 <= p2 <= p1 <= v and 0.0 <= s <= 1.0):
             return None
-        strat = ProviderStrategy.two(p1, s * duo.cap_ii, p2, (1.0 - s) * duo.cap_ii)
-        return profit(strat)
+        return profit(offer(x).classes)
 
+    # the premium price, the economy price, the equal-price diagonal (profit
+    # ridges sit on the tie line whenever splitting pays through level
+    # matching alone, and single-axis moves cannot walk along it), the split
+    lines = (
+        (lambda x: (x[1], v), ASCENT_PRICE_GRID, PRICE_XTOL, lambda x, t: (t, x[1], x[2])),
+        (lambda x: (0.0, x[0]), ASCENT_PRICE_GRID, PRICE_XTOL, lambda x, t: (x[0], t, x[2])),
+        (lambda x: (0.0, v), ASCENT_PRICE_GRID, PRICE_XTOL, lambda x, t: (t, t, x[2])),
+        (lambda x: (0.0, 1.0), SPLIT_GRID - 1, SPLIT_XTOL, lambda x, t: (x[0], x[1], t)),
+    )
     # the first two seeds embed the one-class optimum into the two-class
     # space (a zero split IS a single class, equal prices level-match),
     # so the search result never falls below the one-class value
-    seeds = [
-        (p_one, p_one, 0.0),
-        (p_one, p_one, 0.5),
-        (0.75 * v, 0.5 * v, 0.5),
-        (0.5 * v, 0.25 * v, 0.5),
-        (0.9 * v, 0.6 * v, 0.25),
-    ]
-    best = None
+    seeds = [(p_one, p_one, 0.0), (p_one, p_one, 0.5), (0.75 * v, 0.5 * v, 0.5),
+             (0.5 * v, 0.25 * v, 0.5), (0.9 * v, 0.6 * v, 0.25)]
+    best_x, best_val = None, -math.inf
     for seed in seeds:
-        p1, p2, s = seed
-        val = value(p1, p2, s)
-        if val is None:
-            val = -math.inf  # let the first feasible move adopt the seed
-        for _ in range(ASCENT_CYCLES):
-            moved = False
-            x, fx, _ = _grid_golden_max(lambda t: value(t, p2, s), p2, v, n=24,
-                                        xtol=PRICE_XTOL)
-            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
-                p1, val, moved = x, fx, True
-            x, fx, _ = _grid_golden_max(lambda t: value(p1, t, s), 0.0, p1, n=24,
-                                        xtol=PRICE_XTOL)
-            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
-                p2, val, moved = x, fx, True
-            # scan the equal-price diagonal too: profit ridges sit on the
-            # tie line whenever splitting pays through level matching
-            # alone, and single-axis moves cannot walk along it
-            x, fx, _ = _grid_golden_max(lambda t: value(t, t, s),
-                                        0.0, v, n=24, xtol=PRICE_XTOL)
-            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
-                p1, p2, val, moved = x, x, fx, True
-            x, fx, _ = _grid_golden_max(lambda t: value(p1, p2, t), 0.0, 1.0,
-                                        n=SPLIT_GRID - 1, xtol=SPLIT_XTOL)
-            if x is not None and fx is not None and fx > val + ASCENT_GAIN:
-                s, val, moved = x, fx, True
-            if not moved:
-                break
-        if val > -math.inf and (best is None or val > best[3]):
-            best = (p1, p2, s, val)
+        # an infeasible seed starts at -inf: the first feasible move adopts it
+        val = value(seed)
+        x, val = _ascend(value, seed, -math.inf if val is None else val, lines,
+                         ASCENT_CYCLES, ASCENT_GAIN)
+        if val > best_val:
+            best_x, best_val = x, val
 
-    if best is None:
+    if best_x is None:
         raise ConvergenceError("no feasible two-class strategy found")
-    p1, p2, s, val = best
-    return ProviderStrategy.two(p1, s * duo.cap_ii, p2, (1.0 - s) * duo.cap_ii), val
+    return offer(best_x), best_val
 
 
 # ---------------------------------------------------------------------------
@@ -514,17 +461,12 @@ def _verify_nash(duo: DuopolyScenario, p_i: float, strat_ii: ProviderStrategy) -
         return min(max(p, 0.0), duo.v)
 
     def improvable(profit, posted, candidates):
-        try:
-            bar = profit(posted) + NASH_VERIFY_SLACK
-        except PmplabError:
+        profit = _feasible(profit)
+        bar = profit(posted)
+        if bar is None:
             return True
-        for cand in candidates:
-            try:
-                if profit(cand) > bar:
-                    return True
-            except PmplabError:
-                continue
-        return False
+        bar += NASH_VERIFY_SLACK
+        return any(v is not None and v > bar for v in map(profit, candidates))
 
     if improvable(lambda p: _profit_i(duo, p, strat_ii), p_i,
                   [clip(p_i + d) for d in offsets]):

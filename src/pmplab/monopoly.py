@@ -10,10 +10,7 @@ classes pays off:
    improve welfare and profit?  (:func:`local_improvement_probe`,
    :func:`ratio_sweep`, :func:`maximize_free_prices`.)
 
-All maximizations are deterministic: a fixed grid scan followed by
-golden-section refinement, with plateau ties resolved to the largest
-maximizing price so repeated runs and regression baselines agree bit for
-bit.
+The maximizations run on the deterministic searches of ``_search``.
 """
 
 from __future__ import annotations
@@ -22,10 +19,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._search import _ascend, _feasible, _grid_golden_max
 from ._tolerances import (
-    BASELINE_BEAT_MARGIN, BOTTOM_PRICE_SLACK, CUTOFF_ASCENT_GAIN, CUTOFF_GAP,
-    CUTOFF_XTOL, FREE_PRICE_ROUNDS, NONEMPTY_USAGE, PLATEAU_TOL, PRICE_XTOL,
-    PROBE_CUTOFF_GAP, PROBE_DELTA, PROBE_DELTA_FLOOR, SEED_PRICE_XTOL, SPLIT_SUM_TOL,
+    BASELINE_BEAT_MARGIN, BOTTOM_PRICE_SLACK, CUTOFF_ASCENT_GAIN, CUTOFF_GAP, CUTOFF_GRID,
+    CUTOFF_XTOL, FREE_PRICE_ROUNDS, NONEMPTY_USAGE, PRICE_XTOL, PROBE_CUTOFF_GAP,
+    PROBE_DELTA, PROBE_DELTA_FLOOR, SEED_PRICE_GRID, SEED_PRICE_XTOL, SPLIT_SUM_TOL,
     VIABILITY_PRICES, VIABILITY_SWEEP_GRID,
 )
 from .congestion import (
@@ -64,10 +62,9 @@ __all__ = [
     "maximize_free_prices",
     "partition_comparison",
     "local_improvement_probe",
+    "identical_price_cases",
     "viability_report",
 ]
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _objective_fn(scenario: MarketScenario, objective: str) -> Callable[[Equilibrium], float]:
@@ -76,72 +73,6 @@ def _objective_fn(scenario: MarketScenario, objective: str) -> Callable[[Equilib
     if objective == "welfare":
         return lambda eq: social_welfare(scenario, eq)
     raise DomainError(f"objective must be 'welfare' or 'profit', got {objective!r}")
-
-
-# ---------------------------------------------------------------------------
-# deterministic scalar maximization
-# ---------------------------------------------------------------------------
-
-def _golden_max(f, lo, hi, xtol):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if (fc if fc is not None else -math.inf) >= (fd if fd is not None else -math.inf):
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _grid_golden_max(f, lo, hi, n, xtol):
-    """Global scan + local refinement + plateau edge resolution.
-
-    ``f`` may return None for infeasible points; those are skipped and
-    counted.  On value ties (within ``PLATEAU_TOL``) the largest maximizer
-    wins, and a final bisection walks to the right edge of any plateau.
-
-    Returns (argmax, value, skipped_count).
-    """
-    xs = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    vals = [f(x) for x in xs]
-    skipped = sum(1 for v in vals if v is None)
-    best = max((v for v in vals if v is not None), default=None)
-    if best is None:
-        return None, None, skipped
-    i_best = max(i for i, v in enumerate(vals) if v is not None and v >= best - PLATEAU_TOL)
-
-    a = xs[max(i_best - 1, 0)]
-    b = xs[min(i_best + 1, n)]
-    xg, vg = _golden_max(f, a, b, xtol)
-    x_star, v_star = xs[i_best], best
-    if vg is not None and vg > v_star:
-        x_star, v_star = xg, vg
-
-    # plateau: push the reported argmax to the right edge
-    if hi > x_star:
-        ge = lambda x: (lambda v: v is not None and v >= v_star - PLATEAU_TOL)(f(x))
-        if ge(hi):
-            x_star = hi
-        else:
-            plo, phi = x_star, hi
-            while phi - plo > xtol:
-                mid = 0.5 * (plo + phi)
-                if ge(mid):
-                    plo = mid
-                else:
-                    phi = mid
-            x_star = plo
-    v_final = f(x_star)
-    if v_final is not None and v_final > v_star:
-        v_star = v_final
-    return x_star, v_star, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +93,8 @@ def maximize_single_price(
     if scenario.m != 1:
         raise PreconditionError("maximize_single_price needs a single-class scenario")
     value_of = _objective_fn(scenario, objective)
-
-    def f(p):
-        try:
-            return value_of(cutoffs_from_prices(scenario, (p,)))
-        except PmplabError:
-            return None
-
-    p_star, value, _ = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=PRICE_XTOL)
+    f = _feasible(lambda p: value_of(cutoffs_from_prices(scenario, (p,))))
+    p_star, value, _ = _grid_golden_max(f, 0.0, scenario.v, grid, PRICE_XTOL)
     if p_star is None:
         raise ConvergenceError("no feasible price found on the grid")
     return p_star, value
@@ -219,13 +144,8 @@ def ratio_sweep(
 
     points = []
     for a in a_grid:
-        def f(p1, _a=a):
-            try:
-                return value_of(cutoffs_from_prices(scenario, (p1, _a * p1)))
-            except PmplabError:
-                return None
-
-        p_star, value, skipped = _grid_golden_max(f, 0.0, scenario.v, n=grid, xtol=PRICE_XTOL)
+        f = _feasible(lambda p1, _a=a: value_of(cutoffs_from_prices(scenario, (p1, _a * p1))))
+        p_star, value, skipped = _grid_golden_max(f, 0.0, scenario.v, grid, PRICE_XTOL)
         if p_star is None:
             raise NoEquilibriumError(f"no feasible premium price at ratio {a}")
         points.append(SweepPoint(float(a), value, p_star, skipped))
@@ -250,65 +170,53 @@ def maximize_free_prices(
     m = scenario.m
     value_of = _objective_fn(scenario, objective)
     theta_bar = scenario.dist.support_end
+    price = _feasible(lambda th: prices_from_cutoffs(scenario, th))
 
-    def eval_cutoffs(th):
-        try:
-            eq = prices_from_cutoffs(scenario, th)
-        except PmplabError:
-            return None, None
-        if eq.prices[-1] < -BOTTOM_PRICE_SLACK:
-            return None, None
-        return value_of(eq), eq
+    def f(th):
+        eq = price(th)
+        if eq is None or eq.prices[-1] < -BOTTOM_PRICE_SLACK:
+            return None
+        return value_of(eq)
+
+    # the identical-pricing optimum is the first start; each price keeps
+    # its cutoffs, so the winner is not solved again
+    def ident(p):
+        eq = identical_price_equilibrium(scenario, p)
+        return value_of(eq), eq.cutoffs
+
+    ident = _feasible(ident)
 
     def f_ident(p):
-        try:
-            return value_of(identical_price_equilibrium(scenario, p))
-        except PmplabError:
-            return None
+        found = ident(p)
+        return None if found is None else found[0]
 
-    p_ident, v_ident, _ = _grid_golden_max(f_ident, 0.0, scenario.v, n=256,
-                                           xtol=SEED_PRICE_XTOL)
-    seeds = []
-    if p_ident is not None:
-        seeds.append(identical_price_equilibrium(scenario, p_ident).cutoffs)
+    p_ident, _, _ = _grid_golden_max(f_ident, 0.0, scenario.v, SEED_PRICE_GRID,
+                                     SEED_PRICE_XTOL)
+    seeds = [] if p_ident is None else [ident(p_ident)[1]]
     for spread in (0.9, 0.7, 0.5, 0.3):
         seeds.append(tuple(theta_bar * spread * (m - i) / m for i in range(m)))
 
+    def line(i):
+        # cutoff i moves between its neighbours, keeping CUTOFF_GAP from each
+        def span(th):
+            hi = theta_bar if i == 0 else th[i - 1] - CUTOFF_GAP
+            lo = th[i + 1] + CUTOFF_GAP if i + 1 < m else CUTOFF_GAP
+            return lo, hi
+        return span, CUTOFF_GRID, CUTOFF_XTOL, lambda th, t: th[:i] + (t,) + th[i + 1:]
+
+    lines = [line(i) for i in range(m)]
     best_val, best_th = -math.inf, None
     for seed in seeds:
-        th = list(seed)
-        val, _ = eval_cutoffs(th)
+        val = f(seed)
         if val is None:
             continue
-        for _ in range(FREE_PRICE_ROUNDS):
-            improved = False
-            for i in range(m):
-                hi = theta_bar if i == 0 else th[i - 1] - CUTOFF_GAP
-                lo = th[i + 1] + CUTOFF_GAP if i + 1 < m else CUTOFF_GAP
-                if hi <= lo:
-                    continue
-
-                def g(t, _i=i):
-                    trial = list(th)
-                    trial[_i] = t
-                    v, _ = eval_cutoffs(trial)
-                    return v
-
-                t_star, v_star, _ = _grid_golden_max(g, lo, hi, n=32, xtol=CUTOFF_XTOL)
-                if (t_star is not None and v_star is not None
-                        and v_star > val + CUTOFF_ASCENT_GAIN):
-                    th[i] = t_star
-                    val = v_star
-                    improved = True
-            if not improved:
-                break
+        th, val = _ascend(f, seed, val, lines, FREE_PRICE_ROUNDS, CUTOFF_ASCENT_GAIN)
         if val > best_val:
-            best_val, best_th = val, tuple(th)
+            best_val, best_th = val, th
 
     if best_th is None:
         raise ConvergenceError("no feasible starting cutoffs for free-price ascent")
-    _, eq = eval_cutoffs(list(best_th))
-    return eq.prices, best_val, best_th
+    return price(best_th).prices, best_val, best_th
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +359,21 @@ def local_improvement_probe(
 # combined viability report
 # ---------------------------------------------------------------------------
 
+def identical_price_cases(scenario: MarketScenario, prices: Iterable[float]) -> list:
+    """(price, monotone case) at each identical-pricing equilibrium.
+
+    A price whose equilibrium cannot be solved, or leaves a class with no
+    more than ``NONEMPTY_USAGE`` usage, is left out.
+    """
+    solve = _feasible(lambda p: identical_price_equilibrium(scenario, p))
+    cases = []
+    for p in prices:
+        eq = solve(p)
+        if eq is not None and all(q > NONEMPTY_USAGE for q in eq.usages):
+            cases.append((p, monotone_case(scenario.model, scenario.capacities, eq.usages)))
+    return cases
+
+
 @dataclass(frozen=True)
 class ViabilityReport:
     """Aggregated evidence on whether class differentiation can pay."""
@@ -498,14 +421,7 @@ def viability_report(
                 notes.append(f"partition comparison failed at p={p:.6g}: {exc}")
         comparisons[split] = tuple(rows)
 
-        for p in prices:
-            try:
-                eq = identical_price_equilibrium(split_sc, p)
-            except PmplabError:
-                continue
-            if any(q <= NONEMPTY_USAGE for q in eq.usages):
-                continue
-            cases.append((p, monotone_case(scenario.model, split, eq.usages)))
+        cases += identical_price_cases(split_sc, prices)
 
         for objective in ("welfare", "profit"):
             try:

@@ -78,6 +78,9 @@ def test_a_model_takes_exactly_the_parameter_its_kind_has(kind):
         assert cg.CongestionModel(kind, value).param == value
         with pytest.raises(DomainError, match="needs parameter"):
             cg.CongestionModel(kind)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                cg.CongestionModel(kind, bad)
 
 
 def test_a_parameter_the_kind_does_not_use_is_not_silently_dropped():
@@ -86,6 +89,13 @@ def test_a_parameter_the_kind_does_not_use_is_not_silently_dropped():
             cg.CongestionModel(kind, param)
     with pytest.raises(DomainError):
         cg.CongestionModel("outage")   # used to build outage with eps = 1
+
+
+def test_an_integral_float_kappa_builds_the_integer_loss_model():
+    m = cg.CongestionModel("loss", 2.0)
+    assert m == cg.loss(2) and type(m.param) is int
+    assert m.evaluate(0.5, 1.0) == cg.loss(2).evaluate(0.5, 1.0)
+    assert m.describe() == "loss(kappa=2)"
 
 
 def test_loss_continuous_at_full_load():

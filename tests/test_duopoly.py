@@ -154,6 +154,17 @@ def test_two_class_strictly_better_with_default_consumption():
     assert v2 > v1 + 1e-4
 
 
+def test_an_unknown_mode_is_rejected_before_any_search(monkeypatch):
+    solved = []
+    market = duo.market_equilibrium
+    monkeypatch.setattr(duo, "market_equilibrium",
+                        lambda *args: solved.append(args) or market(*args))
+    for scenario in (UTL, DuopolyScenario(2.0, 1.0, 0.0, cg.utilization())):
+        with pytest.raises(DomainError, match="mode"):
+            duo.best_response_II(scenario, 1.2, mode="bogus")
+    assert solved == []
+
+
 def test_absent_provider_II():
     d = DuopolyScenario(2.0, 1.0, 0.0, cg.utilization())
     strat, value = duo.best_response_II(d, 1.0, mode="two")

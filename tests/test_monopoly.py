@@ -6,6 +6,7 @@ from pmplab import congestion as cg
 from pmplab import monopoly as mono
 from pmplab.equilibrium import MarketScenario
 from pmplab.errors import ConvergenceError, DomainError, PreconditionError
+from pmplab.population import tabulated
 
 
 def market(model, caps, v=2.0):
@@ -248,3 +249,117 @@ def test_viability_verdicts(model, verdict):
     sc = MarketScenario(2.0, (1.0,), model)
     rep = mono.viability_report(sc, splits=((0.3, 0.7),), a_grid=(0.5, 0.9, 1.0))
     assert rep.verdict == verdict
+
+
+# ---------------------------------------------------------------------------
+# exact bits, search grids and the per-search solve memo
+# ---------------------------------------------------------------------------
+
+TAB = tabulated([(0.0, 0.0), (0.4, 0.7), (1.0, 1.0)])
+
+
+def _curve(curve):
+    return ([(pt.ratio, pt.best_value, pt.argmax_p1, pt.skipped) for pt in curve.points]
+            + [(curve.baseline_single, curve.baseline_argmax)])
+
+
+_CALLS = {
+    "free_2_uniform": lambda: mono.maximize_free_prices(
+        market(cg.utilization(), (0.3, 0.7)), "profit"),
+    "free_2_tabulated": lambda: mono.maximize_free_prices(
+        MarketScenario(2.0, (0.3, 0.7), cg.latency(), TAB), "welfare"),
+    "free_3_uniform": lambda: mono.maximize_free_prices(
+        market(cg.utilization(), (0.2, 0.3, 0.5)), "profit"),
+    "free_3_tabulated": lambda: mono.maximize_free_prices(
+        MarketScenario(2.0, (0.2, 0.3, 0.5), cg.utilization_default(0.05), TAB), "profit"),
+    "sweep_uniform": lambda: _curve(mono.ratio_sweep(
+        market(cg.general_latency(1.0), (0.3, 0.7)), (0.5, 1.0), "profit", grid=32)),
+    "sweep_tabulated": lambda: _curve(mono.ratio_sweep(
+        MarketScenario(2.0, (0.3, 0.7), cg.latency(), TAB), (0.5, 0.9), "welfare", grid=32)),
+    "single_profit": lambda: mono.maximize_single_price(
+        MarketScenario(2.0, (1.0,), cg.outage(0.5), TAB), "profit", grid=64),
+    "single_welfare": lambda: mono.maximize_single_price(
+        market(cg.utilization(), (1.0,)), "welfare", grid=64),
+}
+
+# float.hex of each result (skip counts as ints) as found with every point
+# solved afresh by its own hand-written search: sharing the searches and the
+# solve memo must not move a bit
+_BITS = {
+    'free_2_tabulated': (
+        ('0x1.6fde583e95e98p-1', '0x1.6fde583e95e90p-1'),
+        '0x1.6fde0e9b9592bp-1',
+        ('0x1.354db9fe5a0d6p-2', '0x1.0fae2d7434573p-2'),
+    ),
+    'free_2_uniform': (
+        ('0x1.782ef1763e8c0p+0', '0x1.4ae925bfe4533p+0'),
+        '0x1.1bcf4179a6d5fp+0',
+        ('0x1.a9b6e811229bdp-1', '0x1.47b53171891f2p-1'),
+    ),
+    'free_3_tabulated': (
+        ('0x1.c663f094dc554p+0', '0x1.aa75abb0fbd27p+0', '0x1.7140601ab8dfap+0'),
+        '0x1.60a7adae44220p+0',
+        ('0x1.9ad9896da7257p-1', '0x1.2e37236a81354p-1', '0x1.6254fdd70fddap-2'),
+    ),
+    'free_3_uniform': (
+        ('0x1.7b217923caac4p+0', '0x1.6d04a9bd05e8bp+0', '0x1.4285316c387a0p+0'),
+        '0x1.1f26172549f95p+0',
+        ('0x1.aeb7969893e4fp-1', '0x1.6f8a27989c7bep-1', '0x1.04fa50db3d1abp-1'),
+    ),
+    'single_profit': (
+        '0x1.8000100000000p+0',
+        '0x1.8000000000000p+0',
+    ),
+    'single_welfare': (
+        '0x1.0000000000000p+0',
+        '0x1.8000000000000p+0',
+    ),
+    'sweep_tabulated': (
+        ('0x1.0000000000000p-1', '0x1.58011293a7beep-1', '0x1.2a98391d44380p-1', 0),
+        ('0x1.ccccccccccccdp-1', '0x1.6c5d28fc28776p-1', '0x1.7366fd0d54a24p-1', 0),
+        ('0x1.e90df15b89be2p-1', '0x1.e90e2d8bc14f5p-1'),
+    ),
+    'sweep_uniform': (
+        ('0x1.0000000000000p-1', '0x1.6666666666666p-2', '0x1.0000000000000p+1', 0),
+        ('0x1.0000000000000p+0', '0x1.8021c8477ec3bp-2', '0x1.44986a8042118p+0', 0),
+        ('0x1.126145e9ecd56p-1', '0x1.4498661bd3fb3p+0'),
+    ),
+}
+
+
+def _hex(value):
+    if isinstance(value, (tuple, list)):
+        return tuple(_hex(x) for x in value)
+    return value if isinstance(value, int) else float.hex(float(value))
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_optimizers_keep_exact_bits(name):
+    assert _hex(_CALLS[name]()) == _BITS[name]
+
+
+@pytest.mark.parametrize("name", ["free_2_tabulated", "free_3_uniform", "sweep_uniform",
+                                  "single_profit"])
+def test_each_search_solves_each_point_once(name, monkeypatch):
+    solved = []
+    for fn_name in ("cutoffs_from_prices", "identical_price_equilibrium",
+                    "prices_from_cutoffs"):
+        def counting(scenario, point, *rest, _fn=getattr(mono, fn_name), _name=fn_name):
+            key = tuple(point) if isinstance(point, (tuple, list)) else point
+            solved.append((_name, scenario.capacities, key))
+            return _fn(scenario, point, *rest)
+        monkeypatch.setattr(mono, fn_name, counting)
+    if name.startswith("sweep"):
+        # one ratio: p1 = 0 is the same market at every ratio
+        mono.ratio_sweep(market(cg.general_latency(1.0), (0.3, 0.7)), (0.5,), "profit", grid=32)
+    else:
+        _CALLS[name]()
+    assert solved and len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_a_search_grid_without_intervals_is_a_domain_error(grid):
+    with pytest.raises(DomainError, match="at least one interval"):
+        mono.maximize_single_price(market(cg.utilization(), (1.0,)), grid=grid)
+    with pytest.raises(DomainError, match="at least one interval"):
+        mono.ratio_sweep(market(cg.utilization(), (0.3, 0.7)), (0.5,), grid=grid)
