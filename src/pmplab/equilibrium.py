@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from scipy.optimize import brentq
 
@@ -399,6 +399,316 @@ def _eliminate(m):
     return x
 
 
+class _Chain(NamedTuple):
+    """What every Newton attempt on one chain of singleton groups reads."""
+
+    cdf: Callable
+    density: Callable
+    value_capped: Callable
+    slope: Callable
+    saturates: bool
+    caps: tuple          # active capacities, premium first
+    gaps: tuple          # d_1 = V - p_1 for the top cutoff, d_i = p_{i-1} - p_i below
+    slope_at: float      # Jacobian slopes are taken at no smaller a usage
+    theta_bar: float
+
+    @classmethod
+    def of(cls, scenario: MarketScenario, act_groups) -> "_Chain":
+        dist, model = scenario.dist, scenario.model
+        n = len(act_groups)
+        gaps = [scenario.v - act_groups[0].price] + [
+            act_groups[i - 1].price - act_groups[i].price for i in range(1, n)]
+        return cls(dist.cdf, dist.density, model._value_capped, model._slope, model._saturates,
+                   tuple(g.caps[0] for g in act_groups), tuple(gaps),
+                   model.min_usage() + SLOPE_FLOOR, dist.support_end)
+
+
+def _newton_residual(chain: _Chain, x, pinned):
+    """Residuals, levels and usages at cutoff vector x (row 0 dropped if
+    pinned), or None where a class whose level diverges at capacity is
+    loaded past it."""
+    cdf, _, value_capped, _, saturates, caps, gaps, _, _ = chain
+    n = len(caps)
+    cum = [cdf(t) for t in x] + [0.0]  # F(0) = 0
+    qs = [cum[i] - cum[i + 1] for i in range(n)]
+    if saturates:
+        for q, c in zip(qs, caps):
+            if q >= c:
+                return None
+    ks = [value_capped(q, c) for q, c in zip(qs, caps)]
+    res = [] if pinned else [gaps[0] - x[0] * ks[0]]
+    for i in range(1, n):
+        res.append(gaps[i] - x[i] * (ks[i] - ks[i - 1]))
+    return res, ks, qs
+
+
+def _newton_system(chain: _Chain, x, res, ks, qs, off):
+    """The augmented Newton system [J | -r] at x, given ``_newton_residual``'s
+    output; with ``off`` = 1 the pinned top cutoff's row and column are
+    left out."""
+    _, density, _, slope, _, caps, _, slope_at, _ = chain
+    n = len(caps)
+    sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
+    fs = [0.0 if i < off else density(x[i]) for i in range(n)]
+    width = n - off
+    m = []
+    for i in range(off, n):
+        row = [0.0] * (width + 1)
+        j = i - off
+        if i == 0:
+            row[0] = -ks[0] - x[0] * sl[0] * fs[0]
+            if n > 1:
+                row[1] = x[0] * sl[0] * fs[1]
+        else:
+            if j > 0:
+                row[j - 1] = x[i] * sl[i - 1] * fs[i - 1]
+            row[j] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
+            if i + 1 < n:
+                row[j + 1] = x[i] * sl[i] * fs[i + 1]
+        row[width] = -res[j]
+        m.append(row)
+    return m
+
+
+def _newton_attempt(chain: _Chain, x, pinned):
+    """One damped Newton attempt from the cutoffs x, the top one at the
+    support end if ``pinned``: (cutoffs, levels, usages) at a root, or None.
+
+    The list loop, for any number of classes.  ``_newton_chain`` runs it
+    for one class and for four or more; it is the reference that the
+    straight-line kernels for two and three classes are tested against.
+    """
+    n = len(chain.caps)
+    top_cap = chain.theta_bar * (3.0 if not pinned else 1.0)
+    off = 1 if pinned else 0
+    trial = list(x)  # a pinned top cutoff is never stepped
+    for _ in range(NEWTON_ITERATIONS):
+        got = _newton_residual(chain, x, pinned)
+        if got is None:
+            return None
+        res, ks, qs = got
+        if max(map(abs, res)) < NEWTON_CONVERGED:
+            return x, ks, qs
+        step = _eliminate(_newton_system(chain, x, res, ks, qs, off))
+        if step is None:
+            return None
+        lam = 1.0
+        for _damp in range(NEWTON_HALVINGS):
+            for k in range(off, n):
+                trial[k] = x[k] + lam * step[k - off]
+            if trial[0] <= top_cap and trial[-1] >= -ORDER_ROUNDOFF and all(
+                    trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)):
+                x = [min(max(t, 0.0), top_cap) for t in trial]
+                break
+            lam *= 0.5
+        else:
+            return None
+    return None
+
+
+# The straight-line kernels below are ``_newton_attempt`` for two and three
+# classes with every list unrolled into scalars.  They do the same
+# floating-point operations in the same order and call the population and
+# congestion kernels in the same order, so their results are the list
+# loop's bit for bit.  Left out are only operations whose result is
+# known or never read: the update of the entry a row operation
+# eliminates, the last pivot's reciprocal, and a pinned top cutoff's
+# bound check and clamp, which pass and leave it at theta_bar = top_cap.
+# Three identities keep the rest literal: F(0) is 0.0 and b - 0.0 == b,
+# so the last usage is its CDF value; max(a, b) is ``b if b > a else a``;
+# and ``_eliminate``'s back substitution starts its sum from the integer
+# 0, so it adds 0.0 first.
+
+def _solve2(a00, a01, b0, a10, a11, b1):
+    """``_eliminate`` on [[a00, a01 | b0], [a10, a11 | b1]], straight-line."""
+    big = abs(a00)
+    mag = abs(a10)
+    if mag > big:
+        big = mag
+        a00, a01, b0, a10, a11, b1 = a10, a11, b1, a00, a01, b0
+    if big < SINGULAR_PIVOT:
+        return None
+    fac = a10 * (1.0 / a00)
+    if fac != 0.0:
+        a11 -= fac * a01
+        b1 -= fac * b0
+    if abs(a11) < SINGULAR_PIVOT:
+        return None
+    y1 = b1 / a11
+    return (b0 - (0.0 + a01 * y1)) / a00, y1
+
+
+def _solve3(a00, a01, b0, a10, a11, a12, b1, a21, a22, b2):
+    """``_eliminate`` on the tridiagonal [[a00, a01, 0 | b0],
+    [a10, a11, a12 | b1], [0, a21, a22 | b2]], straight-line."""
+    a02 = 0.0
+    # column 0: row 2's 0.0 never beats the pivot candidates above it
+    big = abs(a00)
+    mag = abs(a10)
+    if mag > big:
+        big = mag
+        a00, a01, a02, b0, a10, a11, a12, b1 = a10, a11, a12, b1, a00, a01, a02, b0
+    if big < SINGULAR_PIVOT:
+        return None
+    inv = 1.0 / a00
+    fac = a10 * inv
+    if fac != 0.0:
+        a11 -= fac * a01
+        a12 -= fac * a02
+        b1 -= fac * b0
+    fac = 0.0 * inv
+    if fac != 0.0:
+        a21 -= fac * a01
+        a22 -= fac * a02
+        b2 -= fac * b0
+    # columns 1 and 2 are the 2x2 system left in rows 1 and 2
+    step = _solve2(a11, a12, b1, a21, a22, b2)
+    if step is None:
+        return None
+    y1, y2 = step
+    return (b0 - ((0.0 + a01 * y1) + a02 * y2)) / a00, y1, y2
+
+
+def _newton_attempt2(chain: _Chain, x, pinned):
+    """``_newton_attempt`` for two classes, straight-line."""
+    cdf, density, value_capped, slope, saturates, (c0, c1), (g0, g1), slope_at, theta_bar = chain
+    x0, x1 = x
+    top_cap = theta_bar * (3.0 if not pinned else 1.0)
+    for _ in range(NEWTON_ITERATIONS):
+        cum0 = cdf(x0)
+        q1 = cdf(x1)
+        q0 = cum0 - q1
+        if saturates and (q0 >= c0 or q1 >= c1):
+            return None
+        k0 = value_capped(q0, c0)
+        k1 = value_capped(q1, c1)
+        r1 = g1 - x1 * (k1 - k0)
+        if pinned:
+            if abs(r1) < NEWTON_CONVERGED:
+                return [x0, x1], [k0, k1], [q0, q1]
+        else:
+            r0 = g0 - x0 * k0
+            big = abs(r0)
+            mag = abs(r1)
+            if (mag if mag > big else big) < NEWTON_CONVERGED:
+                return [x0, x1], [k0, k1], [q0, q1]
+        s0 = slope(slope_at if slope_at > q0 else q0, c0)
+        s1 = slope(slope_at if slope_at > q1 else q1, c1)
+        lam = 1.0
+        if pinned:
+            f1 = density(x1)
+            a11 = -(k1 - k0) - x1 * (s1 + s0) * f1
+            if abs(a11) < SINGULAR_PIVOT:
+                return None
+            d1 = -r1 / a11
+            for _damp in range(NEWTON_HALVINGS):
+                t1 = x1 + lam * d1
+                if t1 >= -ORDER_ROUNDOFF and x0 > t1 - ORDER_ROUNDOFF:
+                    x1 = min(max(t1, 0.0), top_cap)
+                    break
+                lam *= 0.5
+            else:
+                return None
+        else:
+            f0 = density(x0)
+            f1 = density(x1)
+            step = _solve2(-k0 - x0 * s0 * f0, x0 * s0 * f1, -r0,
+                           x1 * s0 * f0, -(k1 - k0) - x1 * (s1 + s0) * f1, -r1)
+            if step is None:
+                return None
+            d0, d1 = step
+            for _damp in range(NEWTON_HALVINGS):
+                t0 = x0 + lam * d0
+                t1 = x1 + lam * d1
+                if t0 <= top_cap and t1 >= -ORDER_ROUNDOFF and t0 > t1 - ORDER_ROUNDOFF:
+                    x0 = min(max(t0, 0.0), top_cap)
+                    x1 = min(max(t1, 0.0), top_cap)
+                    break
+                lam *= 0.5
+            else:
+                return None
+    return None
+
+
+def _newton_attempt3(chain: _Chain, x, pinned):
+    """``_newton_attempt`` for three classes, straight-line."""
+    (cdf, density, value_capped, slope, saturates, (c0, c1, c2), (g0, g1, g2), slope_at,
+     theta_bar) = chain
+    x0, x1, x2 = x
+    top_cap = theta_bar * (3.0 if not pinned else 1.0)
+    for _ in range(NEWTON_ITERATIONS):
+        cum0 = cdf(x0)
+        cum1 = cdf(x1)
+        q2 = cdf(x2)
+        q0 = cum0 - cum1
+        q1 = cum1 - q2
+        if saturates and (q0 >= c0 or q1 >= c1 or q2 >= c2):
+            return None
+        k0 = value_capped(q0, c0)
+        k1 = value_capped(q1, c1)
+        k2 = value_capped(q2, c2)
+        r1 = g1 - x1 * (k1 - k0)
+        r2 = g2 - x2 * (k2 - k1)
+        if pinned:
+            big = abs(r1)
+        else:
+            r0 = g0 - x0 * k0
+            big = abs(r0)
+            mag = abs(r1)
+            if mag > big:
+                big = mag
+        mag = abs(r2)
+        if (mag if mag > big else big) < NEWTON_CONVERGED:
+            return [x0, x1, x2], [k0, k1, k2], [q0, q1, q2]
+        s0 = slope(slope_at if slope_at > q0 else q0, c0)
+        s1 = slope(slope_at if slope_at > q1 else q1, c1)
+        s2 = slope(slope_at if slope_at > q2 else q2, c2)
+        lam = 1.0
+        if pinned:
+            f1 = density(x1)
+            f2 = density(x2)
+            step = _solve2(-(k1 - k0) - x1 * (s1 + s0) * f1, x1 * s1 * f2, -r1,
+                           x2 * s1 * f1, -(k2 - k1) - x2 * (s2 + s1) * f2, -r2)
+            if step is None:
+                return None
+            d1, d2 = step
+            for _damp in range(NEWTON_HALVINGS):
+                t1 = x1 + lam * d1
+                t2 = x2 + lam * d2
+                if (t2 >= -ORDER_ROUNDOFF and x0 > t1 - ORDER_ROUNDOFF
+                        and t1 > t2 - ORDER_ROUNDOFF):
+                    x1 = min(max(t1, 0.0), top_cap)
+                    x2 = min(max(t2, 0.0), top_cap)
+                    break
+                lam *= 0.5
+            else:
+                return None
+        else:
+            f0 = density(x0)
+            f1 = density(x1)
+            f2 = density(x2)
+            step = _solve3(-k0 - x0 * s0 * f0, x0 * s0 * f1, -r0,
+                           x1 * s0 * f0, -(k1 - k0) - x1 * (s1 + s0) * f1, x1 * s1 * f2, -r1,
+                           x2 * s1 * f1, -(k2 - k1) - x2 * (s2 + s1) * f2, -r2)
+            if step is None:
+                return None
+            d0, d1, d2 = step
+            for _damp in range(NEWTON_HALVINGS):
+                t0 = x0 + lam * d0
+                t1 = x1 + lam * d1
+                t2 = x2 + lam * d2
+                if (t0 <= top_cap and t2 >= -ORDER_ROUNDOFF and t0 > t1 - ORDER_ROUNDOFF
+                        and t1 > t2 - ORDER_ROUNDOFF):
+                    x0 = min(max(t0, 0.0), top_cap)
+                    x1 = min(max(t1, 0.0), top_cap)
+                    x2 = min(max(t2, 0.0), top_cap)
+                    break
+                lam *= 0.5
+            else:
+                return None
+    return None
+
+
 def _newton_chain(scenario: MarketScenario, act_groups):
     """Newton solve of the cutoff chain for singleton groups.
 
@@ -411,7 +721,10 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     start, then with the top cutoff pinned at the support end (a saturated
     market) from the capacity seed and from the default start.  An unpinned
     solution whose top cutoff lies beyond the support end also moves on to
-    the pinned attempts.
+    the pinned attempts.  Chains of two and three groups run each attempt
+    in a straight-line kernel (``_newton_attempt2``, ``_newton_attempt3``)
+    with the same bits as the list loop ``_newton_attempt``, which runs
+    every other length and is the kernels' reference in the tests.
 
     A saturation bound skips both unpinned attempts when it shows that
     neither can accept a root, i.e. reach |r_i| < NEWTON_CONVERGED for all
@@ -425,7 +738,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
       rounding.
     * K is nonnegative and, up to rounding far below PRICE_TOL,
       nondecreasing in q; for the latency kinds only below capacity, but
-      ``residual`` rejects a usage at capacity.  So k_i <= K(q, C_i)
+      ``_newton_residual`` rejects a usage at capacity.  So k_i <= K(q, C_i)
       whenever q_i <= q < C_i, and every k_i is finite when K(q_top, C_i) is.
     * An accepted root has |d_1 - theta_1 k_1| < NEWTON_CONVERGED with
       0 <= theta_1 <= theta_bar + SUPPORT_END_SLACK, so
@@ -445,63 +758,12 @@ def _newton_chain(scenario: MarketScenario, act_groups):
       rounding, which the extra CDF_ROUNDOFF in q_top covers; hence
       q_1 = F(theta_1) - F(theta_2) <= q_bar.
     """
+    chain = _Chain.of(scenario, act_groups)
+    cdf, _, value_capped, _, saturates, caps, gaps, _, theta_bar = chain
     dist = scenario.dist
-    cdf = dist.cdf
-    density = dist.density
-    model = scenario.model
-    value_capped = model._value_capped
-    slope = model._slope
-    saturates = model._saturates
-    theta_bar = dist.support_end
-    caps = [g.caps[0] for g in act_groups]
-    n = len(act_groups)
-    # the price side of each indifference equation: d_1 = V - p_1 for the
-    # top cutoff, d_i = p_{i-1} - p_i for the others
-    gaps = [scenario.v - act_groups[0].price] + [
-        act_groups[i - 1].price - act_groups[i].price for i in range(1, n)]
-    min_q = model.min_usage()
-    slope_at = min_q + SLOPE_FLOOR
-
-    def residual(x, pinned):
-        """Residuals, levels and usages at cutoff vector x (row 0 dropped if
-        pinned), or None where a class whose level diverges at capacity is
-        loaded past it."""
-        cum = [cdf(t) for t in x] + [0.0]  # F(0) = 0
-        qs = [cum[i] - cum[i + 1] for i in range(n)]
-        if saturates:
-            for q, c in zip(qs, caps):
-                if q >= c:
-                    return None
-        ks = [value_capped(q, c) for q, c in zip(qs, caps)]
-        res = [] if pinned else [gaps[0] - x[0] * ks[0]]
-        for i in range(1, n):
-            res.append(gaps[i] - x[i] * (ks[i] - ks[i - 1]))
-        return res, ks, qs
-
-    def system(x, res, ks, qs, off):
-        """The augmented Newton system [J | -r] at x, given ``residual``'s
-        output; with ``off`` = 1 the pinned top cutoff's row and column are
-        left out."""
-        sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
-        fs = [0.0 if i < off else density(x[i]) for i in range(n)]
-        width = n - off
-        m = []
-        for i in range(off, n):
-            row = [0.0] * (width + 1)
-            j = i - off
-            if i == 0:
-                row[0] = -ks[0] - x[0] * sl[0] * fs[0]
-                if n > 1:
-                    row[1] = x[0] * sl[0] * fs[1]
-            else:
-                if j > 0:
-                    row[j - 1] = x[i] * sl[i - 1] * fs[i - 1]
-                row[j] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
-                if i + 1 < n:
-                    row[j + 1] = x[i] * sl[i] * fs[i + 1]
-            row[width] = -res[j]
-            m.append(row)
-        return m
+    n = len(caps)
+    min_q = scenario.model.min_usage()
+    attempt = _newton_attempt2 if n == 2 else _newton_attempt3 if n == 3 else _newton_attempt
 
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
@@ -521,38 +783,14 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         return xs
 
     def run(pinned, seed=None):
-        """Newton iterate; returns (cutoffs, levels, usages) or None."""
+        """One attempt from ``seed``, or from the default start."""
         if pinned and n == 1:
             q0 = cdf(theta_bar)
             return [theta_bar], [value_capped(q0, caps[0])], [q0]
         x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
         if pinned:
             x[0] = theta_bar
-        top_cap = theta_bar * (3.0 if not pinned else 1.0)
-        off = 1 if pinned else 0
-        trial = list(x)  # a pinned top cutoff is never stepped
-        for _ in range(NEWTON_ITERATIONS):
-            got = residual(x, pinned)
-            if got is None:
-                return None
-            res, ks, qs = got
-            if max(map(abs, res)) < NEWTON_CONVERGED:
-                return x, ks, qs
-            step = _eliminate(system(x, res, ks, qs, off))
-            if step is None:
-                return None
-            lam = 1.0
-            for _damp in range(NEWTON_HALVINGS):
-                for k in range(off, n):
-                    trial[k] = x[k] + lam * step[k - off]
-                if trial[0] <= top_cap and trial[-1] >= -ORDER_ROUNDOFF and all(
-                        trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)):
-                    x = [min(max(t, 0.0), top_cap) for t in trial]
-                    break
-                lam *= 0.5
-            else:
-                return None
-        return None
+        return attempt(chain, x, pinned)
 
     # the saturation bound of the docstring
     q_top = 1.0 + 2.0 * CDF_ROUNDOFF

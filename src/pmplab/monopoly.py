@@ -162,8 +162,9 @@ def maximize_free_prices(
 
     Runs coordinate-wise golden-section ascent over the cutoff vector from
     five deterministic starts, one of which is the identical-pricing
-    optimum, so the result can only improve on it.  Returns
-    (prices, value, cutoffs).
+    optimum, so the result can only improve on it.  When no start can be
+    priced, that optimum itself is returned.  Returns (prices, value,
+    cutoffs).
     """
     if scenario.m < 2:
         raise PreconditionError("maximize_free_prices needs at least two classes")
@@ -215,7 +216,12 @@ def maximize_free_prices(
             best_val, best_th = val, th
 
     if best_th is None:
-        raise ConvergenceError("no feasible starting cutoffs for free-price ascent")
+        if p_ident is None:
+            raise ConvergenceError("no feasible starting cutoffs for free-price ascent")
+        # no start can be priced (the identical-price optimum may leave a
+        # class empty): identical pricing is the best found
+        value, cutoffs = ident(p_ident)
+        return (p_ident,) * m, value, cutoffs
     return price(best_th).prices, best_val, best_th
 
 

@@ -1053,31 +1053,91 @@ def test_solve_linear_matches_reference_bits(system):
 
 
 
+# infinities, NaN and a subnormal reach the pivot tests and the row
+# operations' zero-factor skip
+_wild_entries = st.sampled_from([math.inf, -math.inf, math.nan, 1e-310, -1e300])
+
+
+@st.composite
+def _tridiagonal_systems(draw):
+    n = draw(st.integers(2, 3))
+    entry = draw(st.sampled_from([_exact_entries, _entries, st.one_of(_entries, _wild_entries)]))
+    a = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(max(i - 1, 0), min(i + 2, n)):
+            a[i][j] = draw(entry)
+    return a, [draw(entry) for _ in range(n)]
+
+
+@settings(max_examples=800, deadline=None)
+@given(system=_tridiagonal_systems())
+@example(system=([[1.0, 3.0], [-1.0, 1.0]], [-0.0, 2.0]))  # |1| and |-1| tie
+@example(system=([[1.0, 2.0, 0.0], [4.0, -1.0, 0.5], [0.0, 2.0, 1.0]], [1.0, -0.0, 2.0]))
+@example(system=([[2.0, 1.0, 0.0], [0.5, 0.0, 1.0], [0.0, 4.0, -2.0]], [1.0, 0.5, -0.0]))
+@example(system=([[math.nan, 1.0, 0.0], [0.5, 1.0, 1.0], [0.0, 4.0, 2.0]], [1.0, 0.5, 1.0]))
+def test_straight_line_solves_match_eliminate_bits(system):
+    a, b = system
+    want = eqm._eliminate([row[:] + [rhs] for row, rhs in zip(a, b)])
+    if len(b) == 2:
+        got = eqm._solve2(a[0][0], a[0][1], b[0], a[1][0], a[1][1], b[1])
+    else:
+        got = eqm._solve3(a[0][0], a[0][1], b[0], a[1][0], a[1][1], a[1][2], b[1],
+                          a[2][1], a[2][2], b[2])
+    assert _hex_or_none(got) == _hex_or_none(want)
+
+
 # ---------------------------------------------------------------------------
 # Newton's saturation bound against the four-attempt reference
 # ---------------------------------------------------------------------------
 
-def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
-    """``_newton_chain`` as it was before the saturation bound: every chain
-    tries both unpinned attempts first, and each step builds the Jacobian
-    and the right-hand side apart."""
+# how a reference attempt ended
+_ENDINGS = ("converged", "capacity", "singular", "damping", "iterations")
+
+
+def _ref_capacity_seed(scenario, caps):
+    n = len(caps)
+    min_q = scenario.model.min_usage()
+    theta_bar = scenario.dist.support_end
+    qs = [max(min(0.4 * c, 0.8 / n), min_q * 1.2 + tol.SEED_USAGE_PAD) for c in caps]
+    total = sum(qs)
+    if total > 0.9:
+        qs = [q * 0.9 / total for q in qs]
+    xs = [0.0] * n
+    cum = 0.0
+    for i in range(n - 1, -1, -1):
+        cum += qs[i]
+        xs[i] = scenario.dist.quantile(min(cum, 1.0)) * 0.98
+    for i in range(n - 2, -1, -1):
+        if xs[i] <= xs[i + 1]:
+            xs[i] = min(xs[i + 1] * 1.05 + tol.SEED_CUTOFF_GAP, theta_bar)
+    return xs
+
+
+def _ref_start(scenario, n, pinned, seed):
+    theta_bar = scenario.dist.support_end
+    x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
+    if pinned:
+        x[0] = theta_bar
+    return x
+
+
+def _ref_attempt(scenario, prices, caps, x, pinned, solve=_ref_solve_linear, endings=None):
+    """One attempt from the cutoffs x, building the Jacobian and the
+    right-hand side apart; appends how it ended to ``endings``."""
     v = scenario.v
     dist = scenario.dist
     model = scenario.model
     value_capped = model._value_capped
     slope = model._slope
     theta_bar = dist.support_end
-    prices = [g.price for g in act_groups]
-    caps = [g.caps[0] for g in act_groups]
-    n = len(act_groups)
-    min_q = model.min_usage()
-    slope_at = min_q + tol.SLOPE_FLOOR
-    saturates = model._saturates
+    n = len(caps)
+    slope_at = model.min_usage() + tol.SLOPE_FLOOR
+    ended = endings.append if endings is not None else lambda how: None
 
-    def residual(x, pinned):
+    def residual(x):
         cum = [dist.cdf(t) for t in x] + [0.0]
         qs = [cum[i] - cum[i + 1] for i in range(n)]
-        if saturates:
+        if model._saturates:
             for q, c in zip(qs, caps):
                 if q >= c:
                     return None
@@ -1087,7 +1147,7 @@ def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
             res.append((prices[i - 1] - prices[i]) - x[i] * (ks[i] - ks[i - 1]))
         return res, ks, qs
 
-    def jacobian(x, ks, qs, pinned):
+    def jacobian(x, ks, qs):
         sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
         fs = [dist.density(t) for t in x]
         rows = range(1, n) if pinned else range(n)
@@ -1106,58 +1166,59 @@ def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
             jac.append(row[1:] if pinned else row)
         return jac
 
-    def capacity_seed():
-        qs = [max(min(0.4 * c, 0.8 / n), min_q * 1.2 + tol.SEED_USAGE_PAD) for c in caps]
-        total = sum(qs)
-        if total > 0.9:
-            qs = [q * 0.9 / total for q in qs]
-        xs = [0.0] * n
-        cum = 0.0
-        for i in range(n - 1, -1, -1):
-            cum += qs[i]
-            xs[i] = dist.quantile(min(cum, 1.0)) * 0.98
-        for i in range(n - 2, -1, -1):
-            if xs[i] <= xs[i + 1]:
-                xs[i] = min(xs[i + 1] * 1.05 + tol.SEED_CUTOFF_GAP, theta_bar)
-        return xs
+    top_cap = theta_bar * (3.0 if not pinned else 1.0)
+    off = 1 if pinned else 0
+    for _ in range(tol.NEWTON_ITERATIONS):
+        got = residual(x)
+        if got is None:
+            ended("capacity")
+            return None
+        res, ks, qs = got
+        if max(abs(r) for r in res) < tol.NEWTON_CONVERGED:
+            ended("converged")
+            return x, ks, qs
+        step = solve(jacobian(x, ks, qs), [-r for r in res])
+        if step is None:
+            ended("singular")
+            return None
+        lam = 1.0
+        base = list(x)
+        for _damp in range(tol.NEWTON_HALVINGS):
+            trial = list(base)
+            for k, s in enumerate(step):
+                trial[k + off] = base[k + off] + lam * s
+            ok = all(
+                trial[i] > trial[i + 1] - tol.ORDER_ROUNDOFF for i in range(n - 1)
+            ) and trial[-1] >= -tol.ORDER_ROUNDOFF and trial[0] <= top_cap
+            if ok:
+                x = [min(max(t, 0.0), top_cap) for t in trial]
+                break
+            lam *= 0.5
+        else:
+            ended("damping")
+            return None
+    ended("iterations")
+    return None
+
+
+def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
+    """``_newton_chain`` as it was before the saturation bound: every chain
+    tries both unpinned attempts first."""
+    v = scenario.v
+    theta_bar = scenario.dist.support_end
+    prices = [g.price for g in act_groups]
+    caps = [g.caps[0] for g in act_groups]
+    n = len(act_groups)
+    min_q = scenario.model.min_usage()
 
     def run(pinned, seed=None):
         if pinned and n == 1:
-            q0 = dist.cdf(theta_bar)
-            return [theta_bar], [value_capped(q0, caps[0])], [q0]
-        x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
-        if pinned:
-            x[0] = theta_bar
-        top_cap = theta_bar * (3.0 if not pinned else 1.0)
-        off = 1 if pinned else 0
-        for _ in range(tol.NEWTON_ITERATIONS):
-            got = residual(x, pinned)
-            if got is None:
-                return None
-            res, ks, qs = got
-            if max(abs(r) for r in res) < tol.NEWTON_CONVERGED:
-                return x, ks, qs
-            step = solve(jacobian(x, ks, qs, pinned), [-r for r in res])
-            if step is None:
-                return None
-            lam = 1.0
-            base = list(x)
-            for _damp in range(tol.NEWTON_HALVINGS):
-                trial = list(base)
-                for k, s in enumerate(step):
-                    trial[k + off] = base[k + off] + lam * s
-                ok = all(
-                    trial[i] > trial[i + 1] - tol.ORDER_ROUNDOFF for i in range(n - 1)
-                ) and trial[-1] >= -tol.ORDER_ROUNDOFF and trial[0] <= top_cap
-                if ok:
-                    x = [min(max(t, 0.0), top_cap) for t in trial]
-                    break
-                lam *= 0.5
-            else:
-                return None
-        return None
+            q0 = scenario.dist.cdf(theta_bar)
+            return [theta_bar], [scenario.model._value_capped(q0, caps[0])], [q0]
+        x = _ref_start(scenario, n, pinned, seed)
+        return _ref_attempt(scenario, prices, caps, x, pinned, solve)
 
-    seed = capacity_seed()
+    seed = _ref_capacity_seed(scenario, caps)
     out = run(pinned=False, seed=seed)
     if out is None:
         out = run(pinned=False)
@@ -1189,12 +1250,15 @@ def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
     return ("ok", (list(x), list(ks), saturated))
 
 
+def _singleton_groups(scenario, prices):
+    return [eqm._Group(p, [c], [i]) for i, (p, c) in enumerate(zip(prices, scenario.capacities))]
+
+
 def _chain_outcome(chain, scenario, prices):
     """A chain solve's status and payload in float.hex, or the exception
     type it raised."""
-    groups = [eqm._Group(p, [c], [i]) for i, (p, c) in enumerate(zip(prices, scenario.capacities))]
     try:
-        status, payload = chain(scenario, groups)
+        status, payload = chain(scenario, _singleton_groups(scenario, prices))
     except Exception as exc:  # both versions must fail alike
         return type(exc).__name__
     if status == "ok":
@@ -1214,8 +1278,8 @@ _chain_models = st.one_of(
 
 
 @st.composite
-def _chain_markets(draw):
-    n = draw(st.integers(1, 3))
+def _chain_markets(draw, sizes=(1, 4)):
+    n = draw(st.integers(*sizes))
     model = draw(_chain_models)
     if draw(st.booleans()):
         dist = uniform(draw(st.floats(0.3, 1.0)))
@@ -1240,14 +1304,131 @@ def _chain_markets(draw):
     return eqm.MarketScenario(v, caps, model, dist), [v * f for f in fracs]
 
 
+# For two and three classes, pinned and not, a market where an attempt
+# from the capacity seed or the default start ends each way, so that every
+# exit of the straight-line kernels is taken.  Capacity 200 makes outage
+# levels and slopes underflow to 0.0, which the pinned attempts need to
+# meet a singular pivot.
+_GL_TINY2 = (eqm.MarketScenario(1.51, (1.09e-05, 0.00268), cg.general_latency(0.5), uniform()),
+             [1.07, 0.412])
+_OUT_TAB2 = (eqm.MarketScenario(4.06, (0.0922, 4.55e-05), cg.outage(0.5), _TAB5), [2.64, 1.82])
+_GL_TAB3 = (eqm.MarketScenario(0.98, (0.000507, 0.903, 0.987), cg.general_latency(0.5), _TAB5),
+            [0.708, 0.616, 0.29])
+_UTL3 = (eqm.MarketScenario(4.02, (0.115, 0.00243, 0.00036), cg.utilization(), uniform()),
+         [2.82, 0.175, 0.119])
+_UTD_HALF3 = (eqm.MarketScenario(7.53, (0.0522, 0.00269, 0.0921), cg.utilization_default(0.1),
+                                 uniform(0.5)), [5.09, 4.16, 2.6])
+_KERNEL_ENDINGS = {
+    (2, False, "converged"): (
+        eqm.MarketScenario(0.216, (0.00065, 0.0901), cg.utilization(), uniform(0.5)),
+        [0.156, 0.0961]),
+    (2, False, "capacity"): _GL_TINY2,
+    (2, False, "singular"): _OUT_TAB2,
+    (2, False, "damping"): _OUT_TAB2,
+    (2, False, "iterations"): (
+        eqm.MarketScenario(1.13, (0.000534, 0.0232), cg.utilization_default(0.1), _TAB5),
+        [0.315, 0.3]),
+    (2, True, "converged"): (
+        eqm.MarketScenario(0.398, (0.723, 1.58e-06), cg.outage(0.5), _TAB5), [0.373, 0.215]),
+    (2, True, "capacity"): _GL_TINY2,
+    (2, True, "singular"): (
+        eqm.MarketScenario(2.0, (200.0, 200.0), cg.outage(0.5), uniform()), [1.5, 1.0]),
+    (2, True, "damping"): _OUT_TAB2,
+    (2, True, "iterations"): (
+        eqm.MarketScenario(1.07, (1.01e-06, 1.88e-06), cg.utilization_default(0.1), _TAB5),
+        [0.543, 0.149]),
+    (3, False, "converged"): _UTL3,
+    (3, False, "capacity"): _GL_TAB3,
+    (3, False, "singular"): (
+        eqm.MarketScenario(6.91, (2.42, 0.102, 0.00322), cg.utilization_default(0.1), uniform()),
+        [6.57, 3.55, 1.6]),
+    (3, False, "damping"): _UTD_HALF3,
+    (3, False, "iterations"): (
+        eqm.MarketScenario(5.56, (1.51e-06, 0.0139, 0.0692), cg.utilization(), uniform()),
+        [4.7, 3.68, 2.16]),
+    (3, True, "converged"): _UTL3,
+    (3, True, "capacity"): _GL_TAB3,
+    (3, True, "singular"): (
+        eqm.MarketScenario(2.0, (200.0, 200.0, 200.0), cg.outage(0.5), uniform()),
+        [1.5, 1.0, 0.5]),
+    (3, True, "damping"): _UTD_HALF3,
+    (3, True, "iterations"): (
+        eqm.MarketScenario(6.41, (5.52e-06, 0.000107, 0.000171), cg.utilization_default(0.1),
+                           uniform(0.5)), [4.68, 1.65, 1.62]),
+}
+
+
+def _with_kernel_examples(**more):
+    def add(test):
+        for market in _KERNEL_ENDINGS.values():
+            test = example(market=market, **more)(test)
+        return test
+    return add
+
+
 @settings(max_examples=600, deadline=None)
 @given(market=_chain_markets())
 @example(market=(eqm.MarketScenario(6.0, (1.0, 0.8), cg.latency(), uniform()), [4.769, 4.176]))
 @example(market=(eqm.MarketScenario(2.0, (1.0, 0.6, 0.5), cg.utilization()), [1.6, 1.525, 1.505]))
+@_with_kernel_examples()
 def test_newton_chain_matches_the_four_attempt_reference(market):
     scenario, prices = market
     assert (_chain_outcome(eqm._newton_chain, scenario, prices)
             == _chain_outcome(_ref_newton_chain, scenario, prices))
+
+
+def _attempt_hex(attempt):
+    """An attempt's cutoffs, levels and usages in float.hex, None, or the
+    exception type it raised."""
+    try:
+        got = attempt()
+    except Exception as exc:
+        return type(exc).__name__
+    return None if got is None else tuple(tuple(map(float.hex, part)) for part in got)
+
+
+def _kernel_attempts(scenario, prices, starts=()):
+    """Each of the four attempts on a two- or three-class chain, and the
+    attempts from each of ``starts``, pinned and not: how the reference
+    ended it, and its outcome from the reference, the list loop and the
+    straight-line kernel."""
+    groups = _singleton_groups(scenario, prices)
+    chain = eqm._Chain.of(scenario, groups)
+    kernel = {2: eqm._newton_attempt2, 3: eqm._newton_attempt3}[len(groups)]
+    caps = list(chain.caps)
+    out = []
+    for pinned in (False, True):
+        for seed in (_ref_capacity_seed(scenario, caps), None, *starts):
+            x = _ref_start(scenario, len(caps), pinned, seed)
+            endings = []
+            ref = _attempt_hex(lambda: _ref_attempt(scenario, prices, caps, list(x), pinned,
+                                                    endings=endings))
+            listed = _attempt_hex(lambda: eqm._newton_attempt(chain, list(x), pinned))
+            straight = _attempt_hex(lambda: kernel(chain, list(x), pinned))
+            out.append((pinned, endings[0] if endings else None, ref, listed, straight))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(market=_chain_markets(sizes=(2, 3)),
+       start=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+@_with_kernel_examples(start=[0.9, 0.4, 0.0])
+def test_newton_kernels_match_the_list_loop(market, start):
+    scenario, prices = market
+    # one more start: any decreasing cutoffs inside the support
+    start = sorted((scenario.dist.support_end * t for t in start[:len(prices)]), reverse=True)
+    for _, _, ref, listed, straight in _kernel_attempts(scenario, prices, [start]):
+        assert straight == listed == ref
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("pinned", (False, True))
+@pytest.mark.parametrize("ending", _ENDINGS)
+def test_kernel_examples_reach_each_ending(n, pinned, ending):
+    scenario, prices = _KERNEL_ENDINGS[n, pinned, ending]
+    assert len(prices) == n
+    attempts = _kernel_attempts(scenario, prices)
+    assert (pinned, ending) in {(p, how) for p, how, *_ in attempts}
 
 
 def test_saturated_duopoly_market_skips_the_unpinned_attempts(monkeypatch):
@@ -1264,11 +1445,16 @@ def test_saturated_duopoly_market_skips_the_unpinned_attempts(monkeypatch):
 
     ref = _chain_outcome(lambda *args: _ref_newton_chain(*args, solve=ref_solve),
                          scenario, prices)
-    rows = []
-    eliminate = eqm._eliminate
-    monkeypatch.setattr(eqm, "_eliminate", lambda m: rows.append(len(m)) or eliminate(m))
+    pins = []
+    attempt2 = eqm._newton_attempt2
+
+    def record(chain, x, pinned):
+        pins.append(pinned)
+        return attempt2(chain, x, pinned)
+
+    monkeypatch.setattr(eqm, "_newton_attempt2", record)
     got = _chain_outcome(eqm._newton_chain, scenario, prices)
     assert ref[0] == "ok" and ref[1][2] is True
     assert 2 in ref_rows          # the reference ran unpinned steps ...
-    assert rows and set(rows) == {1}   # ... this one only pinned ones
+    assert pins and all(pins)     # ... this one only pinned attempts
     assert got == ref

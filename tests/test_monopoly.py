@@ -4,8 +4,10 @@ import pytest
 
 from pmplab import congestion as cg
 from pmplab import monopoly as mono
-from pmplab.equilibrium import MarketScenario
-from pmplab.errors import ConvergenceError, DomainError, PreconditionError
+from pmplab.equilibrium import (
+    MarketScenario, identical_price_equilibrium, provider_profit, social_welfare,
+)
+from pmplab.errors import ConvergenceError, DomainError, PmplabError, PreconditionError
 from pmplab.population import tabulated
 
 
@@ -99,6 +101,32 @@ def test_free_prices_vanishing_class():
     sc = market(cg.utilization(), (1.0, 1e-7))
     _prices, value, _th = mono.maximize_free_prices(sc, "profit")
     assert value == pytest.approx(4.0 * math.sqrt(6.0) / 9.0, abs=1e-4)
+
+
+def test_free_prices_fall_back_to_identical_pricing_when_no_start_is_priced():
+    # identical pricing leaves the premium class empty, and
+    # prices_from_cutoffs prices an empty class below the next one; the
+    # spread starts cannot be priced either
+    sc = MarketScenario(2.0, (0.2, 0.3, 0.5), cg.general_latency(0.5))
+    for objective, price, best in (("profit", 1.1529, 0.28725), ("welfare", 0.5132, 0.45540)):
+        prices, value, cutoffs = mono.maximize_free_prices(sc, objective)
+        assert prices == (prices[0],) * 3
+        assert prices[0] == pytest.approx(price, abs=1e-4)
+        assert value == pytest.approx(best, abs=1e-5)
+        eq = identical_price_equilibrium(sc, prices[0])
+        assert cutoffs == eq.cutoffs
+        of = (lambda e: provider_profit(e)) if objective == "profit" else (
+            lambda e: social_welfare(sc, e))
+        assert value == of(eq)
+        # never worse than identical pricing, where the optimizer can
+        # evaluate it (an empty class in a tie group can still fail the
+        # welfare integral by an ulp, and counts as infeasible)
+        for k in range(201):
+            try:
+                other = of(identical_price_equilibrium(sc, k / 100))
+            except PmplabError:
+                continue
+            assert other <= value + 1e-9
 
 
 # ---------------------------------------------------------------------------
