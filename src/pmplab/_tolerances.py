@@ -150,8 +150,10 @@ BEST_RESPONSE_I_GRID = 256
 SPLIT_GRID = 33
 SPLIT_XTOL = 1e-6
 ASCENT_CYCLES = 3
-# find_nash: converged once no strategy coordinate moves this far in a round
+# find_nash: converged once no strategy coordinate moves this far in a round,
+# and gives up after this many rounds
 NASH_MOVE_TOL = 1e-6
+NASH_MAX_ROUNDS = 100
 # find_nash verification: neighbourhood radius, the profit gain that counts
 # as an improvement, and the least share each split part keeps
 NASH_VERIFY_RADIUS = 1e-3

@@ -68,9 +68,15 @@ def _need(sf: ScenarioFile, attr, what, command):
     return value
 
 
+def _too_many_failed(failed, total) -> bool:
+    """Whether a grid command fails (exit code 3): when more than a tenth of
+    its grid points failed."""
+    return failed > 0.1 * total
+
+
 def _rows_over_prices(prices, row):
     """``row(p)`` for each price; a price whose computation fails is named on
-    stderr and skipped.  None when more than a tenth of the prices failed."""
+    stderr and skipped.  None when too many prices failed."""
     rows, failures = [], 0
     for p in prices:
         try:
@@ -78,7 +84,7 @@ def _rows_over_prices(prices, row):
         except PmplabError as exc:
             failures += 1
             print(f"p={p:.9g}: {exc}", file=sys.stderr)
-    return None if failures > 0.1 * len(prices) else rows
+    return None if _too_many_failed(failures, len(prices)) else rows
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def _cmd_sweep(sf: ScenarioFile, args) -> int:
     curve = ratio_sweep(scenario, sf.a_grid, args.objective, grid=grid)
     skipped = sum(pt.skipped for pt in curve.points)
     total = len(curve.points) * (grid + 1)
-    if skipped > 0.1 * total:
+    if _too_many_failed(skipped, total):
         print(f"solver failures at {skipped}/{total} grid points", file=sys.stderr)
         return EXIT_COMPUTE
     rows = [
@@ -215,7 +221,7 @@ def _cmd_duopoly(sf: ScenarioFile, args) -> int:
     for pt in points:
         if pt.error:
             print(f"pI={pt.p_i:.9g}: {pt.error}", file=sys.stderr)
-    if failures > 0.1 * len(points):
+    if _too_many_failed(failures, len(points)):
         return EXIT_COMPUTE
     rows = [
         (pt.p_i, pt.pi_i, pt.pi_ii_one, pt.pi_ii_two)

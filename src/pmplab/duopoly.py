@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from ._search import _ascend, _feasible, _segmented_price_max
 from ._tolerances import (
     ACCESS_VALUE_SLACK, ASCENT_CYCLES, ASCENT_GAIN, ASCENT_PRICE_GRID, BEST_RESPONSE_I_GRID,
-    CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP, NASH_MOVE_TOL, NASH_SPLIT_MARGIN,
+    CLOSED_FORM_AGREEMENT, DERIVATIVE_STEP, NASH_MAX_ROUNDS, NASH_MOVE_TOL, NASH_SPLIT_MARGIN,
     NASH_VERIFY_RADIUS, NASH_VERIFY_SLACK, PRICE_XTOL, REL_GAP_FLOOR, SPLIT_GRID,
     SPLIT_XTOL, STRATEGY_ORDER_SLACK,
 )
@@ -70,10 +70,11 @@ class DuopolyScenario:
     dist: TypeDistribution = field(default_factory=uniform)
 
     def __post_init__(self):
-        if self.v <= 0.0:
-            raise DomainError("access value must be positive")
-        if self.cap_i < 0.0 or self.cap_ii < 0.0:
-            raise DomainError("capacities must be nonnegative")
+        # written so that NaN fails each test
+        if not 0.0 < self.v < math.inf:
+            raise DomainError("access value must be positive and finite")
+        if not (0.0 <= self.cap_i < math.inf and 0.0 <= self.cap_ii < math.inf):
+            raise DomainError("capacities must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -87,12 +88,13 @@ class ProviderStrategy:
     classes: tuple
 
     def __post_init__(self):
-        cls = tuple((float(p), float(c)) for p, c in self.classes if c > 0.0)
-        for p, c in cls:
+        offered = tuple((float(p), float(c)) for p, c in self.classes)
+        if not all(math.isfinite(p) and math.isfinite(c) for p, c in offered):
+            raise DomainError(f"prices and capacities must be finite, got {offered}")
+        cls = tuple((p, c) for p, c in offered if c > 0.0)
+        for p, _ in cls:
             if p < 0.0:
                 raise DomainError(f"negative price {p}")
-            if c <= 0.0:
-                raise DomainError(f"capacity must be positive, got {c}")
         for (pa, _), (pb, _) in zip(cls, cls[1:]):
             if pb > pa + STRATEGY_ORDER_SLACK:
                 raise DomainError("strategy prices must be nonincreasing")
@@ -332,6 +334,8 @@ def best_response_II(duo: DuopolyScenario, p_i: float, mode: str = "two",
     """
     if mode not in ("one", "two"):
         raise DomainError(f"mode must be 'one' or 'two', got {mode!r}")
+    if not math.isfinite(p_i):
+        raise DomainError(f"provider I's price must be finite, got {p_i}")
     if duo.cap_ii <= 0.0:
         return ProviderStrategy(()), 0.0
     v = duo.v
@@ -399,14 +403,15 @@ class NashResult:
     trajectory: tuple
 
 
-def find_nash(duo: DuopolyScenario, mode: str = "one", max_rounds: int = 100) -> NashResult:
+def find_nash(duo: DuopolyScenario, mode: str = "one") -> NashResult:
     """Alternating best responses until neither provider moves.
 
     Starts from provider-I price V/2, lets II best-respond, then I, and
     repeats.  Convergence means the largest strategy coordinate change in
     a round fell below ``NASH_MOVE_TOL``; the result then undergoes a
-    neighbourhood local-maximum verification.  Cycles and exhausted budgets
-    raise :class:`NoConvergenceError` carrying the visited trajectory.
+    neighbourhood local-maximum verification.  Cycles, and no convergence
+    within ``NASH_MAX_ROUNDS`` rounds, raise :class:`NoConvergenceError`
+    carrying the visited trajectory.
     """
     p_i = duo.v / 2.0
     trajectory = []
@@ -417,7 +422,7 @@ def find_nash(duo: DuopolyScenario, mode: str = "one", max_rounds: int = 100) ->
         return NashResult(p_star, strat_ii, pi_star, 0.0, 1,
                           _verify_nash(duo, p_star, strat_ii), ((p_star, ()),))
 
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, NASH_MAX_ROUNDS + 1):
         strat_ii_new, _pi_ii = best_response_II(duo, p_i, mode=mode)
         p_i_new, _pi_i = best_response_I(duo, strat_ii_new)
         state = (round(p_i_new, 9), tuple((round(p, 9), round(c, 9))
@@ -443,7 +448,7 @@ def find_nash(duo: DuopolyScenario, mode: str = "one", max_rounds: int = 100) ->
             )
         seen[state] = rounds
     raise NoConvergenceError(
-        f"no convergence in {max_rounds} rounds", trajectory=trajectory
+        f"no convergence in {NASH_MAX_ROUNDS} rounds", trajectory=trajectory
     )
 
 

@@ -92,12 +92,13 @@ class MarketScenario:
     dist: TypeDistribution = field(default_factory=uniform)
 
     def __post_init__(self):
-        if self.v <= 0.0:
-            raise DomainError(f"access value must be positive, got {self.v}")
+        # written so that NaN fails each test
+        if not 0.0 < self.v < math.inf:
+            raise DomainError(f"access value must be positive and finite, got {self.v}")
         if len(self.capacities) < 1:
             raise DomainError("at least one service class is required")
-        if any(c <= 0.0 for c in self.capacities):
-            raise DomainError(f"capacities must be positive, got {self.capacities}")
+        if not all(0.0 < c < math.inf for c in self.capacities):
+            raise DomainError(f"capacities must be positive and finite, got {self.capacities}")
         object.__setattr__(self, "capacities", tuple(float(c) for c in self.capacities))
 
     @property
@@ -290,6 +291,8 @@ def cutoffs_from_prices(scenario: MarketScenario, prices: Sequence[float]) -> Eq
     if len(prices) != m:
         raise OrderError(f"expected {m} prices, got {len(prices)}")
     p = [float(x) for x in prices]
+    if not all(map(math.isfinite, p)):
+        raise DomainError(f"prices must be finite, got {prices}")
     if p[0] > scenario.v + ACCESS_VALUE_SLACK:
         raise OrderError(f"top price {p[0]} exceeds access value {scenario.v}")
     for a, b in zip(p, p[1:]):
@@ -327,30 +330,15 @@ def _solve_group_chain(scenario: MarketScenario, groups) -> _ChainSolution:
     dropped = [gi for gi, g in enumerate(groups) if g.price >= scenario.v]
     active = [gi for gi in range(len(groups)) if gi not in dropped]
 
-    # fast path: damped Newton over singleton groups, shedding collapsed
-    # classes between attempts
-    if all(len(groups[gi].caps) == 1 for gi in active):
-        act = list(active)
-        for _ in range(len(act) + 1):
-            if not act:
-                break
-            status, payload = _newton_chain(scenario, [groups[gi] for gi in act])
-            if status == "corner":
-                act = [gi for k, gi in enumerate(act) if k != payload]
-                continue
-            if status == "ok":
-                boundaries, levels, saturated = payload
-                sol = _ChainSolution(
-                    boundaries, levels, act,
-                    sorted(dropped + [gi for gi in active if gi not in act]),
-                    saturated,
-                )
-                try:
-                    _check_no_deviation(scenario, groups, sol)
-                except NoEquilibriumError:
-                    break  # wrong shedding guess: fall through to bisection
-                return sol
-            break
+    # fast path: damped Newton over the active singleton groups.  It never
+    # drops a class, so the only empty groups are those priced at or above
+    # V, which no user would enter; any failure, a collapsed interval
+    # included, leaves the choice of empty classes to the bisection
+    if active and all(len(groups[gi].caps) == 1 for gi in active):
+        got = _newton_chain(scenario, [groups[gi] for gi in active])
+        if got is not None:
+            boundaries, levels, saturated = got
+            return _ChainSolution(boundaries, levels, active, dropped, saturated)
 
     while active:
         result = _solve_active_bisect(scenario, groups, active)
@@ -712,9 +700,11 @@ def _newton_attempt3(chain: _Chain, x, pinned):
 def _newton_chain(scenario: MarketScenario, act_groups):
     """Newton solve of the cutoff chain for singleton groups.
 
-    Returns ("ok", (boundaries, levels, saturated)), ("corner", k) when the
-    k-th active group's interval collapses (signalling it should be empty),
-    or ("fail", None) when the robust path should take over.
+    Returns (boundaries, levels, saturated), or None when the bisection
+    should take over: when no attempt converges, when a class is left with
+    less than the minimum usage, and when some group's interval collapses
+    (width at most NEWTON_COLLAPSE), since the chain cannot tell which
+    classes should then be empty.
 
     Up to four attempts run, in this order, each only if the ones before
     it failed: unpinned from the capacity seed, unpinned from the default
@@ -819,24 +809,21 @@ def _newton_chain(scenario: MarketScenario, act_groups):
         if got is None:
             got = run(pinned=True)
         if got is None:
-            return ("fail", None)
+            return None
         x, ks, qs = got
         slack = gaps[0] - theta_bar * ks[0]
         if slack < -PRICE_TOL:
-            return ("fail", None)
+            return None
         saturated = True
     else:
         x, ks, qs = out
         saturated = x[0] >= theta_bar - SATURATION_SLACK
 
-    # collapsed interval -> that group should be empty
     xs = list(x) + [0.0]
-    for i in range(n):
-        if xs[i] - xs[i + 1] <= NEWTON_COLLAPSE:
-            return ("corner", i)
-    if any(q < min_q - NEWTON_MIN_USAGE_SLACK for q in qs):
-        return ("fail", None)
-    return ("ok", (list(x), list(ks), saturated))
+    if (any(xs[i] - xs[i + 1] <= NEWTON_COLLAPSE for i in range(n))
+            or any(q < min_q - NEWTON_MIN_USAGE_SLACK for q in qs)):
+        return None
+    return list(x), list(ks), saturated
 
 
 # -- nested bisection -------------------------------------------------------
@@ -1078,10 +1065,10 @@ def _assemble(scenario: MarketScenario, groups, sol: _ChainSolution) -> Equilibr
 
 
 def _verify_residuals(scenario: MarketScenario, eq: Equilibrium) -> None:
-    rep = validate(scenario, eq)
-    worst = max((abs(r) for r in rep.c3_residuals), default=0.0)
-    if worst > SOLVED_RESIDUAL_TOL:
-        raise ConvergenceError(f"indifference residual {worst:.3e} above tolerance")
+    # a NaN residual fails the test, wherever it is
+    bad = [r for r in validate(scenario, eq).c3_residuals if not abs(r) <= SOLVED_RESIDUAL_TOL]
+    if bad:
+        raise ConvergenceError(f"indifference residual {abs(bad[0]):.3e} above tolerance")
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def ratio_sweep(
         raise PreconditionError("ratio_sweep needs a two-class scenario")
     if not a_grid:
         raise PreconditionError("a_grid must not be empty")
-    if any(a < 0.0 or a > 1.0 for a in a_grid):
+    if not all(0.0 <= a <= 1.0 for a in a_grid):  # NaN fails too
         raise DomainError("price ratios must lie in [0, 1]")
     value_of = _objective_fn(scenario, objective)
 
@@ -317,6 +317,8 @@ def local_improvement_probe(
     """
     if scenario.m != 2:
         raise PreconditionError("the probe needs a two-class scenario")
+    if not math.isfinite(delta):
+        raise DomainError(f"delta must be finite, got {delta}")
     eq = identical_price_equilibrium(scenario, price)
     if any(q <= NONEMPTY_USAGE for q in eq.usages):
         raise PreconditionError("both classes must be nonempty at the probe price")

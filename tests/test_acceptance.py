@@ -337,7 +337,7 @@ def test_criterion_10_duopoly_dominance_curves():
 # 11. Nash verification discipline
 # ---------------------------------------------------------------------------
 
-def test_criterion_11_nash_verification():
+def test_criterion_11_nash_verification(monkeypatch):
     duo = DuopolyScenario(2.0, 1.0, 1.0, cg.utilization())
     res = duop.find_nash(duo, mode="one")
     converged_verified = res.verified
@@ -345,8 +345,9 @@ def test_criterion_11_nash_verification():
     degenerate = DuopolyScenario(2.0, 1.0, 0.0, cg.utilization())
     res0 = duop.find_nash(degenerate, mode="one")
 
+    monkeypatch.setattr(duop, "NASH_MAX_ROUNDS", 1)
     try:
-        duop.find_nash(duo, mode="one", max_rounds=1)
+        duop.find_nash(duo, mode="one")
         reported = False
     except NoConvergenceError as exc:
         reported = bool(exc.trajectory)

@@ -52,6 +52,24 @@ def test_market_rejects_overpriced_classes():
                                ProviderStrategy.one(1.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_duopoly_inputs_are_rejected(bad):
+    for args in [(bad, 1.0, 1.0), (2.0, bad, 1.0), (2.0, 1.0, bad)]:
+        with pytest.raises(DomainError, match="finite"):
+            DuopolyScenario(*args, cg.utilization())
+    with pytest.raises(DomainError, match="finite"):
+        ProviderStrategy.one(bad, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        ProviderStrategy.one(1.0, bad)  # was dropped as if zero
+    with pytest.raises(DomainError, match="finite"):
+        ProviderStrategy.two(1.2, 0.5, bad, 0.0)
+
+
+def test_duopoly_curve_records_a_nan_price_as_an_error():
+    (point,) = duo.duopoly_curve(UTL, [math.nan], grid=16)
+    assert point.error is not None and "finite" in point.error
+
+
 # ---------------------------------------------------------------------------
 # profit derivative and the published closed forms
 # ---------------------------------------------------------------------------
@@ -190,9 +208,10 @@ def test_nash_symmetric_one_class():
     assert abs(res.p_i - p_ii) <= 1e-5
 
 
-def test_nash_budget_exhaustion_reported():
+def test_nash_budget_exhaustion_reported(monkeypatch):
+    monkeypatch.setattr(duo, "NASH_MAX_ROUNDS", 1)
     with pytest.raises(NoConvergenceError) as err:
-        duo.find_nash(UTL, mode="one", max_rounds=1)
+        duo.find_nash(UTL, mode="one")
     assert err.value.trajectory
 
 

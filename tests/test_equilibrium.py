@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -141,6 +142,43 @@ def test_price_preconditions():
         eqm.cutoffs_from_prices(sc, (2.5, 1.0))
     with pytest.raises(OrderError):
         eqm.cutoffs_from_prices(sc, (1.0, -0.2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_scenarios_are_rejected(bad):
+    with pytest.raises(DomainError, match="finite"):
+        eqm.MarketScenario(bad, (0.5, 0.5), cg.utilization())
+    with pytest.raises(DomainError, match="finite"):
+        eqm.MarketScenario(2.0, (bad,), cg.utilization())
+    with pytest.raises(DomainError, match="finite"):
+        eqm.MarketScenario(2.0, (0.5, bad), cg.utilization())
+
+
+@pytest.mark.parametrize("prices", [(math.nan, 0.5), (1.0, math.nan), (1.0, math.inf)])
+def test_non_finite_prices_are_rejected(prices):
+    sc = utl_market((0.5, 0.5))
+    with pytest.raises(DomainError, match="finite"):
+        eqm.cutoffs_from_prices(sc, prices)
+
+
+def test_a_non_finite_identical_price_is_rejected():
+    with pytest.raises(DomainError, match="finite"):
+        eqm.identical_price_equilibrium(utl_market((0.5, 0.5)), math.nan)
+
+
+@pytest.mark.parametrize("nan_level", [0, 1])
+def test_a_nan_residual_fails_the_solved_check(nan_level):
+    sc = utl_market((0.5, 0.5))
+    eq = eqm.cutoffs_from_prices(sc, (1.2, 0.8))
+    eqm._verify_residuals(sc, eq)
+    # level 0 makes both residuals NaN, level 1 only the second: max() over
+    # the residuals missed either
+    levels = list(eq.levels)
+    levels[nan_level] = math.nan
+    eq = dataclasses.replace(eq, levels=tuple(levels))
+    assert math.isnan(eqm.validate(sc, eq).c3_residuals[1])
+    with pytest.raises(ConvergenceError):
+        eqm._verify_residuals(sc, eq)
 
 
 def test_three_class_interior_matches_implicit_solution():
@@ -598,6 +636,54 @@ def test_fallback_pins_reach_the_bisection_finishes(name, branches, monkeypatch)
     model, caps, prices = _FALLBACK_CASES[name]
     eqm.cutoffs_from_prices(eqm.MarketScenario(2.0, caps, model), prices)
     assert branches <= seen
+
+
+# Markets (V = 2, uniform types) where a Newton interval collapses, which
+# Newton once answered by dropping that class and solving again.  The
+# recorded solves are from then: (cutoffs, usages, levels, saturated,
+# opt_out), all degenerate, at the posted prices.
+_ONE_SATURATED_CLASS = ((1.0, 1.0), (0.0, 1.0), (0.0, 1.0), True, 0.0)
+_COLLAPSING_MARKETS = [
+    (cg.latency(), (0.3, 0.7), (0.5, 0.2),
+     ((0.44999999999999996,) * 2, (0.0, 0.44999999999999996), (3.3333333333333335, 4.0),
+      False, 0.55)),
+    *((cg.utilization(), (1.0, 1.0), prices, _ONE_SATURATED_CLASS)
+      for prices in [(1.0, 0.0), (1.2, 0.2), (1.4, 0.4), (1.5, 0.5), (1.6, 0.6000000000000001)]),
+    *((cg.utilization_default(0.1), (1.0, 1.0), prices,
+       ((1.0, 1.0), (0.0, 1.0), (0.0, 0.9), True, 0.0)) for prices in [(1.2, 0.3), (1.5, 0.6)]),
+    (cg.utilization(), (0.5, 0.5, 1.0), (2.0, 1.0, 0.0),
+     ((1.0, 1.0, 1.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), True, 0.0)),
+    (cg.utilization(), (0.5, 1.0, 0.5), (1.0, 0.5, 0.25),
+     ((1.0, 1.0, 0.5), (0.0, 0.5, 0.5), (0.0, 0.5, 1.0), True, 0.0)),
+]
+
+
+@pytest.mark.parametrize("model, caps, prices, recorded", _COLLAPSING_MARKETS,
+                         ids=[f"{model.kind}-{caps}-{prices}"
+                              for model, caps, prices, _ in _COLLAPSING_MARKETS])
+def test_collapsed_newton_intervals_go_to_the_bisection(model, caps, prices, recorded,
+                                                        monkeypatch):
+    chains, bisections = [], []
+    newton, bisect = eqm._newton_chain, eqm._solve_active_bisect
+    monkeypatch.setattr(eqm, "_newton_chain",
+                        lambda *args: chains.append(newton(*args)) or chains[-1])
+    monkeypatch.setattr(eqm, "_solve_active_bisect",
+                        lambda *args: bisections.append(1) or bisect(*args))
+    sc = eqm.MarketScenario(2.0, caps, model)
+    eq = eqm.cutoffs_from_prices(sc, prices)
+    assert chains == [None]  # one Newton chain, which drops no class
+    assert bisections
+    assert eqm.validate(sc, eq).all_ok
+    cutoffs, usages, levels, saturated, opt_out = recorded
+    assert ([q <= tol.TIE_TOL for q in eq.usages]
+            == [q <= tol.TIE_TOL for q in usages])
+    assert (eq.saturated, eq.degenerate) == (saturated, True)
+    close = dict(rel=1e-11, abs=1e-12)
+    assert eq.prices == pytest.approx(prices, **close)
+    assert eq.cutoffs == pytest.approx(cutoffs, **close)
+    assert eq.usages == pytest.approx(usages, **close)
+    assert eq.levels == pytest.approx(levels, **close)
+    assert eq.opt_out == pytest.approx(opt_out, **close)
 
 
 # ---------------------------------------------------------------------------
@@ -1231,11 +1317,11 @@ def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
         if got is None:
             got = run(pinned=True)
         if got is None:
-            return ("fail", None)
+            return None
         x, ks, qs = got
         slack = v - prices[0] - theta_bar * ks[0]
         if slack < -tol.PRICE_TOL:
-            return ("fail", None)
+            return None
         saturated = True
     else:
         x, ks, qs = out
@@ -1244,10 +1330,10 @@ def _ref_newton_chain(scenario, act_groups, solve=_ref_solve_linear):
     xs = list(x) + [0.0]
     for i in range(n):
         if xs[i] - xs[i + 1] <= tol.NEWTON_COLLAPSE:
-            return ("corner", i)
+            return None  # a collapsed interval: the bisection takes over
     if any(q < min_q - tol.NEWTON_MIN_USAGE_SLACK for q in qs):
-        return ("fail", None)
-    return ("ok", (list(x), list(ks), saturated))
+        return None
+    return list(x), list(ks), saturated
 
 
 def _singleton_groups(scenario, prices):
@@ -1255,16 +1341,16 @@ def _singleton_groups(scenario, prices):
 
 
 def _chain_outcome(chain, scenario, prices):
-    """A chain solve's status and payload in float.hex, or the exception
-    type it raised."""
+    """A chain solve's cutoffs and levels in float.hex with its saturation
+    flag, None, or the exception type it raised."""
     try:
-        status, payload = chain(scenario, _singleton_groups(scenario, prices))
+        got = chain(scenario, _singleton_groups(scenario, prices))
     except Exception as exc:  # both versions must fail alike
         return type(exc).__name__
-    if status == "ok":
-        xs, ks, saturated = payload
-        payload = ([float.hex(x) for x in xs], [float.hex(k) for k in ks], saturated)
-    return status, payload
+    if got is None:
+        return None
+    xs, ks, saturated = got
+    return [float.hex(x) for x in xs], [float.hex(k) for k in ks], saturated
 
 
 _chain_models = st.one_of(
@@ -1454,7 +1540,7 @@ def test_saturated_duopoly_market_skips_the_unpinned_attempts(monkeypatch):
 
     monkeypatch.setattr(eqm, "_newton_attempt2", record)
     got = _chain_outcome(eqm._newton_chain, scenario, prices)
-    assert ref[0] == "ok" and ref[1][2] is True
+    assert ref is not None and ref[2] is True
     assert 2 in ref_rows          # the reference ran unpinned steps ...
     assert pins and all(pins)     # ... this one only pinned attempts
     assert got == ref

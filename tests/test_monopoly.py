@@ -75,6 +75,8 @@ def test_sweep_validates_inputs():
         mono.ratio_sweep(sc, (), "profit")
     with pytest.raises(DomainError):
         mono.ratio_sweep(sc, (1.5,), "profit")
+    with pytest.raises(DomainError):
+        mono.ratio_sweep(sc, (0.5, math.nan), "profit")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +212,14 @@ def test_probe_zero_delta():
     sc = market(cg.utilization(), (0.3, 0.7))
     res = mono.local_improvement_probe(sc, 0.9, 0.0)
     assert res.d_welfare == 0.0 and res.d_profit == 0.0
+
+
+@pytest.mark.parametrize("price, delta", [(math.nan, 1e-3), (0.9, math.nan), (0.9, math.inf)])
+def test_probe_rejects_non_finite_inputs(price, delta):
+    # an infinite delta used to halve forever
+    sc = market(cg.utilization(), (0.3, 0.7))
+    with pytest.raises(DomainError, match="finite"):
+        mono.local_improvement_probe(sc, price, delta)
 
 
 def test_probe_interior_price_too():
