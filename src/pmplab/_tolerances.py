@@ -74,10 +74,10 @@ SEED_CUTOFF_GAP = 1e-6     # capacity seed: gap added above a seed cutoff that t
 # -- equilibrium: nested bisection ---------------------------------------------
 
 THETA_TOL = 1e-12          # bisection resolution on cutoffs
-BOUNDARY_BISECT_STEPS = 24  # bisection steps that isolate a boundary before brentq
-INNER_EXTRA_STEPS = 56     # further steps on an inner boundary brentq cannot take
-TOP_EXTRA_STEPS = 76       # further steps on the top cutoff brentq cannot take
-# brentq on a bracket the bisection has isolated
+BOUNDARY_BISECT_STEPS = 24  # bisection steps that isolate a boundary before _brent
+INNER_EXTRA_STEPS = 56     # further steps on an inner boundary _brent cannot take
+TOP_EXTRA_STEPS = 76       # further steps on the top cutoff _brent cannot take
+# equilibrium._brent on a bracket the bisection has isolated
 BRENT_XTOL = 1e-13
 BRENT_RTOL = 8.9e-16
 BRENT_MAXITER = 120

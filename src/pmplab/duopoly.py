@@ -81,8 +81,9 @@ class DuopolyScenario:
 class ProviderStrategy:
     """A provider's offer: one or two (price, capacity) classes.
 
-    Prices must be nonincreasing across the classes; zero-capacity entries
-    are dropped (an empty tuple is a provider sitting out).
+    Prices must be nonincreasing across the classes and capacities
+    nonnegative; zero-capacity entries are dropped (an empty tuple is a
+    provider sitting out).
     """
 
     classes: tuple
@@ -91,6 +92,8 @@ class ProviderStrategy:
         offered = tuple((float(p), float(c)) for p, c in self.classes)
         if not all(math.isfinite(p) and math.isfinite(c) for p, c in offered):
             raise DomainError(f"prices and capacities must be finite, got {offered}")
+        if any(c < 0.0 for _, c in offered):
+            raise DomainError(f"capacities must be nonnegative, got {offered}")
         cls = tuple((p, c) for p, c in offered if c > 0.0)
         for p, _ in cls:
             if p < 0.0:

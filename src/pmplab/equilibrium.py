@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-from scipy.optimize import brentq
-
 from ._tolerances import (
     ACCESS_VALUE_SLACK, BOUNDARY_BISECT_STEPS, BRENT_MAXITER, BRENT_RTOL, BRENT_XTOL,
     CDF_ROUNDOFF, CHAIN_RESIDUAL_TOL, DEVIATION_SLACK, EMPTY_CLASS_MASS, INNER_EXTRA_STEPS,
@@ -232,12 +230,15 @@ def prices_from_cutoffs(
     if len(cutoffs) != m:
         raise OrderError(f"expected {m} cutoffs, got {len(cutoffs)}")
     th = [float(t) for t in cutoffs]
-    if th[0] > theta_bar + SUPPORT_END_SLACK:
+    if not all(math.isfinite(t) for t in th):
+        raise DomainError(f"cutoffs must be finite, got {cutoffs}")
+    # each order test below is written so that NaN fails it
+    if not th[0] <= theta_bar + SUPPORT_END_SLACK:
         raise OrderError(f"top cutoff {th[0]} beyond support end {theta_bar}")
     for a, b in zip(th, th[1:]):
-        if b > a + ORDER_ROUNDOFF:
+        if not b <= a + ORDER_ROUNDOFF:
             raise OrderError(f"cutoffs must be nonincreasing, got {cutoffs}")
-    if th[-1] < -ORDER_ROUNDOFF:
+    if not th[-1] >= -ORDER_ROUNDOFF:
         raise OrderError("cutoffs must be nonnegative")
 
     bounds = th + [0.0]
@@ -252,12 +253,12 @@ def prices_from_cutoffs(
     degenerate = any(a - b <= TIE_TOL for a, b in zip(th, bounds[1:]))
     if enforce_order:
         for a, b in zip(prices, prices[1:]):
-            if b > a + PRICE_TOL:
+            if not b <= a + PRICE_TOL:
                 raise OrderError(f"cutoffs {cutoffs} induce increasing prices {prices}")
-        if prices[-1] < -PRICE_TOL:
+        if not prices[-1] >= -PRICE_TOL:
             raise OrderError(f"cutoffs {cutoffs} induce a negative bottom price")
         for i in range(m - 1):
-            if levels[i] > levels[i + 1] + PRICE_TOL:
+            if not levels[i] <= levels[i + 1] + PRICE_TOL:
                 raise OrderError(
                     f"congestion levels {levels} violate premium ordering at class {i + 1}"
                 )
@@ -845,21 +846,90 @@ def _bisect(rising, lo, hi, steps):
     return lo, hi, r_lo
 
 
+def _brent(f, xa, xb, xtol, rtol, maxiter):
+    """Root of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    R. P. Brent, *Algorithms for Minimization without Derivatives* (1973),
+    ch. 4, in the form of SciPy's ``brentq.c``, followed step for step so
+    that each iterate, and the root, has the same bits.  ``xblk`` is the
+    bracket end opposite ``xcur``; a step interpolates (a secant through
+    ``xpre`` and ``xcur``, or inverse quadratic through all three points)
+    only when it is short enough, else it bisects, and it is never shorter
+    than ``delta``.  A NaN value, a bracket whose ends share a sign, or
+    ``maxiter`` steps without converging raise ``ConvergenceError``.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ConvergenceError(f"Brent's method met a NaN value at x = {x!r}")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(
+            f"Brent's method needs a sign change: f({xa!r}) = {fpre!r}, f({xb!r}) = {fcur!r}"
+        )
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # inverse quadratic
+                dblk = (fblk - fcur) / (xblk - xcur)
+                denom = dblk * dpre * (fblk - fpre)
+                if denom:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / denom
+                else:
+                    stry = math.inf  # zero denominator: C's inf or NaN step, rejected below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # interpolation accepted
+            else:
+                spre = scur = sbis  # interpolation rejected: bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta  # step of delta toward xblk
+        fcur = value(xcur)
+    raise ConvergenceError(
+        f"Brent's method did not converge in {maxiter} steps on [{xa!r}, {xb!r}]"
+    )
+
+
 def _boundary_root(rising, top, more_steps):
     """Bracket the root of ``rising`` on [0, top]; returns (lo, hi), hi the root.
 
     ``rising(b)`` increases with b, or is None below a feasibility threshold,
     which counts as negative.  ``BOUNDARY_BISECT_STEPS`` bisection steps
     isolate the root.  When the lower end is then feasible and negative,
-    brentq finishes the bracket; otherwise ``more_steps`` further bisection
-    steps run.
+    ``_brent`` finishes the bracket; otherwise ``more_steps`` further
+    bisection steps run.
     """
     lo, hi, r_lo = _bisect(rising, 0.0, top, BOUNDARY_BISECT_STEPS)
     if r_lo is not None and r_lo < 0.0 and hi - lo > THETA_TOL:
         # feasible bracket isolated: hand it to a superlinear root finder
-        return lo, brentq(
+        return lo, _brent(
             lambda b: (lambda r: r if r is not None else -1.0)(rising(b)),
-            lo, hi, xtol=BRENT_XTOL, rtol=BRENT_RTOL, maxiter=BRENT_MAXITER,
+            lo, hi, BRENT_XTOL, BRENT_RTOL, BRENT_MAXITER,
         )
     return _bisect(rising, lo, hi, more_steps)[:2]
 
@@ -898,7 +968,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         # boundary -> (residual, solution below it, level of group j), where
         # the solution below is just the last group's level in the deepest
         # frame, or (None, position of a group that must be empty, None).
-        # brentq re-evaluates the bracket ends the bisection has just
+        # _brent re-evaluates the bracket ends the bisection has just
         # solved, and the final pass re-evaluates the root.
         seen = {}
 
@@ -926,7 +996,7 @@ def _solve_active_bisect(scenario: MarketScenario, groups, active):
         # a genuine root has a feasible negative residual just below it;
         # a feasibility threshold (some deeper group losing its last user)
         # makes the residual jump sign without crossing zero, and the
-        # deeper corner must be resolved globally instead.  After brentq
+        # deeper corner must be resolved globally instead.  After _brent
         # the lower end is feasible by construction.
         if resid(lo) is None and lo > 0.0:
             return seen[lo][1]

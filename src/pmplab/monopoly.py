@@ -250,11 +250,14 @@ def partition_comparison(
 
     The single side solves the one-class market at ``price``; the split
     side solves the identically priced partition (congestion levels
-    matched across the parts).  The split must use up exactly the single
-    class's capacity.
+    matched across the parts).  The split's parts must be nonnegative and
+    finite (zero parts are dropped) and use up exactly the single class's
+    capacity.
     """
     if scenario.m != 1:
         raise PreconditionError("partition_comparison needs a single-class base scenario")
+    if not all(0.0 <= c < math.inf for c in split):  # NaN fails it
+        raise DomainError(f"split parts must be nonnegative and finite, got {split}")
     if abs(sum(split) - scenario.capacities[0]) > SPLIT_SUM_TOL:
         raise DomainError(f"split {split} does not sum to capacity {scenario.capacities[0]}")
     if not 0.0 <= price <= scenario.v:

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pmplab
 from pmplab.cli import _fmt, main
 from pmplab.errors import ScenarioError
 from pmplab.scenario import parse_scenario_text
@@ -345,3 +348,31 @@ def test_unwritable_output_is_an_input_error_naming_the_path(tmp_path, capsys):
     (out / "classify.csv").mkdir(parents=True)
     assert main(["classify", "--scenario", scen, "--out", str(out)]) == 2
     assert str(out / "classify.csv") in capsys.readouterr().err
+
+
+_STDLIB_ONLY = """
+import sys
+sys.modules["scipy"] = sys.modules["numpy"] = None  # importing either now fails
+import pmplab.cli
+from pmplab import congestion as cg, equilibrium as eqm
+brent, calls = eqm._brent, []
+eqm._brent = lambda *args: calls.append(1) or brent(*args)
+market = eqm.MarketScenario(2.0, (1.0, 0.6, 0.5), cg.latency())
+eqm.cutoffs_from_prices(market, (1.4, 0.8, 0.8))  # a tie group: nested bisection
+print(len(calls), [name for name, module in sys.modules.items()
+                   if name.split(".")[0] in ("scipy", "numpy") and module is not None])
+"""
+
+
+def test_start_up_needs_neither_scipy_nor_numpy():
+    """The CLI imports, and a 3-class latency market solves through
+    Brent's method, with scipy and numpy unimportable."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(pmplab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", _STDLIB_ONLY], env=env,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stderr
+    brent_calls, loaded = run.stdout.split(" ", 1)
+    assert int(brent_calls) > 0
+    assert loaded.strip() == "[]"

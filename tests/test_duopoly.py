@@ -65,6 +65,15 @@ def test_non_finite_duopoly_inputs_are_rejected(bad):
         ProviderStrategy.two(1.2, 0.5, bad, 0.0)
 
 
+def test_a_negative_capacity_is_rejected_and_zero_sits_out():
+    with pytest.raises(DomainError, match="nonnegative"):
+        ProviderStrategy.one(1.0, -1.0)  # was dropped as if zero
+    with pytest.raises(DomainError, match="nonnegative"):
+        ProviderStrategy.two(1.2, 0.5, 1.0, -0.5)
+    assert ProviderStrategy.one(1.0, 0.0).classes == ()
+    assert ProviderStrategy.two(1.2, 0.0, 1.0, 0.5).classes == ((1.0, 0.5),)
+
+
 def test_duopoly_curve_records_a_nan_price_as_an_error():
     (point,) = duo.duopoly_curve(UTL, [math.nan], grid=16)
     assert point.error is not None and "finite" in point.error

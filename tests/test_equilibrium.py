@@ -1,5 +1,8 @@
 import dataclasses
+import inspect
 import math
+import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -159,6 +162,13 @@ def test_non_finite_prices_are_rejected(prices):
     sc = utl_market((0.5, 0.5))
     with pytest.raises(DomainError, match="finite"):
         eqm.cutoffs_from_prices(sc, prices)
+
+
+@pytest.mark.parametrize("cutoffs", [(math.nan, 0.3), (0.8, math.nan), (0.8, -math.inf)])
+def test_non_finite_cutoffs_are_rejected(cutoffs):
+    # NaN passed every order test and came back as NaN prices
+    with pytest.raises(DomainError, match="finite"):
+        eqm.prices_from_cutoffs(utl_market((0.5, 0.5)), cutoffs)
 
 
 def test_a_non_finite_identical_price_is_rejected():
@@ -610,15 +620,15 @@ def test_fallback_solves_keep_exact_bits(name, monkeypatch):
     ("general_latency_threshold", {"top_bisected", "inner_bisected", "inner_threshold"}),
 ])
 def test_fallback_pins_reach_the_bisection_finishes(name, branches, monkeypatch):
-    """The pins above cover the searches that skip brentq: the top search
+    """The pins above cover the searches that skip _brent: the top search
     finishing by bisection, and an inner one whose lower end lands on a
     feasibility threshold."""
     seen, stack = set(), []
-    search, polish = eqm._boundary_root, eqm.brentq
+    search, polish = eqm._boundary_root, eqm._brent
 
-    def brentq(*args, **kwargs):
+    def brent(*args):
         stack[-1] = True  # the innermost search running is the caller
-        return polish(*args, **kwargs)
+        return polish(*args)
 
     def boundary_root(rising, top, more_steps):
         stack.append(False)
@@ -631,7 +641,7 @@ def test_fallback_pins_reach_the_bisection_finishes(name, branches, monkeypatch)
                 seen.add(where + "_threshold")
         return lo, hi
 
-    monkeypatch.setattr(eqm, "brentq", brentq)
+    monkeypatch.setattr(eqm, "_brent", brent)
     monkeypatch.setattr(eqm, "_boundary_root", boundary_root)
     model, caps, prices = _FALLBACK_CASES[name]
     eqm.cutoffs_from_prices(eqm.MarketScenario(2.0, caps, model), prices)
@@ -687,6 +697,131 @@ def test_collapsed_newton_intervals_go_to_the_bisection(model, caps, prices, rec
 
 
 # ---------------------------------------------------------------------------
+# Brent's method: the same bits as scipy's brentq, which it replaced
+# ---------------------------------------------------------------------------
+
+_BRENT_TOLS = (tol.BRENT_XTOL, tol.BRENT_RTOL, tol.BRENT_MAXITER)
+
+_BRENT_FUNCTIONS = {
+    "cubic": lambda x: (x * x - 2.0) * x - 5.0,
+    "cos": math.cos,
+    "exp": lambda x: math.exp(x) - 2.0,
+    "steep": lambda x: math.atan(1e4 * (x - 0.1)),
+    "flat": lambda x: (x - 0.3) ** 5,
+    "ninth": lambda x: (x - 0.25) ** 9,
+    # the shape _boundary_root hands over: -1 below a feasibility threshold
+    "jump": lambda x: -1.0 if x < 0.3 else 4.0 * (x - 0.35),
+    "line": lambda x: 2.0 * x - 1.0,
+    # a root times a fast parabolic wave, so that on a bracket a few delta
+    # wide an inverse quadratic step lands just inside the limit
+    # 3|sbis| - delta: dropping "- delta" moves the root
+    "wavy": lambda x: (x - 0.3) * (1.0 + 0.9 * (1.0 - 2.0 * ((x * 3.3e13) % 2.0 - 1.0) ** 2)),
+}
+
+# (function, xa, xb, float.hex of the root scipy 1.17.1's brentq returned
+# with the BRENT_* tolerances).  Together the rows take every step of
+# _brent, which test_brent_pins_take_every_step checks.
+_BRENT_PINS = [
+    ("cubic", 2.0, 3.0, "0x1.0c1a4350819e4p+1"),
+    ("cubic", 3.0, 1.0, "0x1.0c1a4350819e3p+1"),
+    ("cos", 0.0, 3.0, "0x1.921fb54442d18p+0"),
+    ("exp", -1.0, 5.0, "0x1.62e42fefa39efp-1"),
+    ("steep", 0.0, 1.0, "0x1.999999999999ap-4"),
+    ("steep", 1.0, -2.0, "0x1.999999999999ap-4"),
+    ("flat", 0.0, 1.0, "0x1.33333333333ffp-2"),
+    ("flat", -2.0, 0.7, "0x1.33333333333e6p-2"),
+    ("ninth", 0.24, 0.251, "0x1.000000000004fp-2"),
+    ("ninth", 0.0, 0.3, "0x1.ffffffffffed5p-3"),
+    ("jump", 0.0, 1.0, "0x1.6666666666666p-2"),
+    ("jump", 0.25, 0.5, "0x1.6666666666666p-2"),
+    ("line", 0.0, 0.75, "0x1.0000000000000p-1"),
+    ("line", 0.5, 1.0, "0x1.0000000000000p-1"),  # a zero value at xa
+    ("line", 0.0, 0.5, "0x1.0000000000000p-1"),  # a zero value at xb
+    ("wavy", 0.3 - 1e-13, 0.3 + 3e-13, "0x1.333333333341cp-2"),
+]
+
+# the comment that marks each step in _brent's source
+_BRENT_STEPS = ("secant", "inverse quadratic", "zero denominator", "interpolation accepted",
+                "interpolation rejected", "bisect", "step of delta")
+
+
+@pytest.mark.parametrize("name, xa, xb, root", _BRENT_PINS)
+def test_brent_keeps_scipys_bits(name, xa, xb, root):
+    assert float.hex(eqm._brent(_BRENT_FUNCTIONS[name], xa, xb, *_BRENT_TOLS)) == root
+
+
+def test_brent_pins_take_every_step():
+    src, first = inspect.getsourcelines(eqm._brent)
+    marks = {first + i: step for i, line in enumerate(src)
+             for step in _BRENT_STEPS if f"# {step}" in line}
+    assert sorted(set(marks.values())) == sorted(_BRENT_STEPS)
+    taken = set()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in marks:
+            taken.add(marks[frame.f_lineno])
+        return local
+
+    tracer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is eqm._brent.__code__ else None)
+    try:
+        for name, xa, xb, _ in _BRENT_PINS:
+            eqm._brent(_BRENT_FUNCTIONS[name], xa, xb, *_BRENT_TOLS)
+    finally:
+        sys.settrace(tracer)
+    assert taken == set(_BRENT_STEPS)
+
+
+def test_brent_matches_scipy_on_random_brackets():
+    """Every evaluation point, and the root or the failure to converge."""
+    optimize = pytest.importorskip("scipy.optimize")
+    shapes = [
+        lambda r, s: lambda x: s * (x - r) ** 3 + (x - r),
+        lambda r, s: lambda x: math.expm1(min(s * (x - r), 700.0)),
+        lambda r, s: lambda x: math.atan(50.0 * s * (x - r)),
+        lambda r, s: lambda x: -1.0 if x < r - 0.1 else s * (x - r),
+        lambda r, s: lambda x: s * (x - r) ** 9,
+        lambda r, s: lambda x: -math.copysign(math.sqrt(abs(s * (x - r))), x - r),
+    ]
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        r = rng.uniform(-1.0, 2.0)
+        f = rng.choice(shapes)(r, 10.0 ** rng.uniform(-3.0, 3.0))
+        ends = [r - 10.0 ** rng.uniform(-8.0, 0.5), r + 10.0 ** rng.uniform(-8.0, 0.5)]
+        rng.shuffle(ends)
+        runs = []
+        for solve in (
+            lambda g: optimize.brentq(g, *ends, xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL,
+                                      maxiter=tol.BRENT_MAXITER),
+            lambda g: eqm._brent(g, *ends, *_BRENT_TOLS),
+        ):
+            xs = []
+            try:
+                out = float.hex(solve(lambda x: xs.append(x) or f(x)))
+            except (RuntimeError, ValueError):  # scipy's failures and ConvergenceError
+                out = "failed"
+            runs.append((out, list(map(float.hex, xs))))
+        assert runs[0] == runs[1], ends
+
+
+def test_brent_raises_on_a_nan_value():
+    with pytest.raises(ConvergenceError, match="NaN value"):
+        eqm._brent(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, *_BRENT_TOLS)
+
+
+def test_brent_raises_on_ends_of_one_sign():
+    with pytest.raises(ConvergenceError, match="sign change"):
+        eqm._brent(lambda x: x + 1.0, 0.0, 1.0, *_BRENT_TOLS)
+
+
+def test_brent_raises_when_steps_run_out():
+    # scipy's brentq fails on this bracket too
+    with pytest.raises(ConvergenceError, match=f"did not converge in {tol.BRENT_MAXITER} steps"):
+        eqm._brent(lambda x: (x - 0.3) ** 9, 0.0, 1.0, *_BRENT_TOLS)
+
+
+# ---------------------------------------------------------------------------
 # the shared bracket search against the two searches it replaced
 # ---------------------------------------------------------------------------
 
@@ -704,9 +839,9 @@ def _ref_inner_search(resid, top):
         if hi - lo < tol.THETA_TOL:
             break
     if r_lo_val is not None and r_lo_val < 0.0 and hi - lo > tol.THETA_TOL:
-        hi = eqm.brentq(
+        hi = eqm._brent(
             lambda b: (lambda rv: rv if rv is not None else -1.0)(resid(b)),
-            lo, hi, xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER,
+            lo, hi, tol.BRENT_XTOL, tol.BRENT_RTOL, tol.BRENT_MAXITER,
         )
     else:
         for _ in range(56):
@@ -735,9 +870,9 @@ def _ref_top_search(gap, top):
         if hi - lo < tol.THETA_TOL:
             break
     if g_lo_val is not None and g_lo_val > 0.0 and hi - lo > tol.THETA_TOL:
-        hi = eqm.brentq(
+        hi = eqm._brent(
             lambda t: (lambda gv: gv if gv is not None else 1.0)(gap(t)),
-            lo, hi, xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER,
+            lo, hi, tol.BRENT_XTOL, tol.BRENT_RTOL, tol.BRENT_MAXITER,
         )
     else:
         for _ in range(76):
@@ -765,7 +900,7 @@ def _rising(root, scale, curve, threshold):
 @settings(max_examples=400, deadline=None)
 @given(
     top=st.floats(1e-6, 3.0),
-    root_frac=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-7)),  # tiny roots: no brentq
+    root_frac=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-7)),  # tiny roots: no _brent
     scale=st.floats(1e-3, 1e3),
     curve=st.floats(0.0, 50.0),
     threshold_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
@@ -790,8 +925,8 @@ def test_boundary_root_matches_both_old_searches(top, root_frac, scale, curve, t
     st.floats(0.0, 1.0), st.floats(1e-3, 1e3), st.floats(0.0, 50.0),
     st.floats(0.0, 1.0), st.floats(1e-6, 1.0),
 )
-def test_brentq_iterates_ignore_a_sign_flip(root, scale, curve, below, width):
-    """brentq steps by ratios of value differences, so negating every
+def test_brent_iterates_ignore_a_sign_flip(root, scale, curve, below, width):
+    """_brent steps by ratios of value differences, so negating every
     value must leave each iterate, and the root it returns, unchanged."""
     f = _rising(root, scale, curve, -math.inf)
     lo, hi = root - below * width - 1e-9, root + width
@@ -799,9 +934,8 @@ def test_brentq_iterates_ignore_a_sign_flip(root, scale, curve, below, width):
 
     def logged(g, out):
         return lambda x: out.append(x) or g(x)
-    kw = dict(xtol=tol.BRENT_XTOL, rtol=tol.BRENT_RTOL, maxiter=tol.BRENT_MAXITER)
-    a = eqm.brentq(logged(f, xs), lo, hi, **kw)
-    b = eqm.brentq(logged(lambda x: -f(x), neg_xs), lo, hi, **kw)
+    a = eqm._brent(logged(f, xs), lo, hi, *_BRENT_TOLS)
+    b = eqm._brent(logged(lambda x: -f(x), neg_xs), lo, hi, *_BRENT_TOLS)
     assert float.hex(a) == float.hex(b)
     assert list(map(float.hex, xs)) == list(map(float.hex, neg_xs))
 

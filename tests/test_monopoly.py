@@ -164,6 +164,14 @@ def test_partition_split_mismatch():
         mono.partition_comparison(sc, 1.0, (0.5, 0.4))
 
 
+@pytest.mark.parametrize("split", [(math.nan, 0.5), (1.5, -0.5)])
+def test_partition_rejects_a_nan_or_negative_part(split):
+    # both once came back as the single class
+    sc = market(cg.utilization(), (1.0,))
+    with pytest.raises(DomainError, match="nonnegative and finite"):
+        mono.partition_comparison(sc, 1.0, split)
+
+
 @pytest.mark.parametrize("model,direction", [
     (cg.latency(), -1),                 # splitting hurts
     (cg.general_latency(2.0), -1),
