@@ -27,8 +27,9 @@ through the model's kernels.
 
 The forward map (cutoffs -> prices) is closed form.  The reverse map is
 solved in theta space: a damped Newton iteration with analytic Jacobian
-covers the common interior and saturated cases fast, with a nested
-bisection as the unconditional fallback.  The bisection is sound because
+covers the common interior and saturated cases of up to three classes
+fast, with a nested bisection as the unconditional fallback, which also
+solves every longer chain.  The bisection is sound because
 each level's indifference residual is strictly increasing in its own
 boundary once every deeper boundary is re-solved: suppose K_j failed to
 rise as its boundary rises -- then the deeper boundary must have risen by
@@ -356,38 +357,6 @@ def _solve_group_chain(scenario: MarketScenario, groups) -> _ChainSolution:
 
 # -- damped Newton ----------------------------------------------------------
 
-def _eliminate(m):
-    """Solve the augmented system ``m`` = [A | b] in place by Gaussian
-    elimination with partial pivoting; None when a pivot is (near) zero."""
-    n = len(m)
-    for col in range(n):
-        # first row of largest magnitude, the one max() would pick
-        piv, big = col, abs(m[col][col])
-        for r in range(col + 1, n):
-            mag = abs(m[r][col])
-            if mag > big:
-                piv, big = r, mag
-        if big < SINGULAR_PIVOT:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        inv = 1.0 / prow[col]
-        for r in range(col + 1, n):
-            row = m[r]
-            fac = row[col] * inv
-            if fac != 0.0:
-                for c in range(col, n + 1):
-                    row[c] -= fac * prow[c]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        row = m[r]
-        acc = 0  # start from 0 as sum() does, so a lone -0.0 term adds as +0.0
-        for c in range(r + 1, n):
-            acc += row[c] * x[c]
-        x[r] = (row[n] - acc) / row[r]
-    return x
-
-
 class _Chain(NamedTuple):
     """What every Newton attempt on one chain of singleton groups reads."""
 
@@ -412,104 +381,27 @@ class _Chain(NamedTuple):
                    model.min_usage() + SLOPE_FLOOR, dist.support_end)
 
 
-def _newton_residual(chain: _Chain, x, pinned):
-    """Residuals, levels and usages at cutoff vector x (row 0 dropped if
-    pinned), or None where a class whose level diverges at capacity is
-    loaded past it."""
-    cdf, _, value_capped, _, saturates, caps, gaps, _, _ = chain
-    n = len(caps)
-    cum = [cdf(t) for t in x] + [0.0]  # F(0) = 0
-    qs = [cum[i] - cum[i + 1] for i in range(n)]
-    if saturates:
-        for q, c in zip(qs, caps):
-            if q >= c:
-                return None
-    ks = [value_capped(q, c) for q, c in zip(qs, caps)]
-    res = [] if pinned else [gaps[0] - x[0] * ks[0]]
-    for i in range(1, n):
-        res.append(gaps[i] - x[i] * (ks[i] - ks[i - 1]))
-    return res, ks, qs
-
-
-def _newton_system(chain: _Chain, x, res, ks, qs, off):
-    """The augmented Newton system [J | -r] at x, given ``_newton_residual``'s
-    output; with ``off`` = 1 the pinned top cutoff's row and column are
-    left out."""
-    _, density, _, slope, _, caps, _, slope_at, _ = chain
-    n = len(caps)
-    sl = [slope(max(q, slope_at), c) for q, c in zip(qs, caps)]
-    fs = [0.0 if i < off else density(x[i]) for i in range(n)]
-    width = n - off
-    m = []
-    for i in range(off, n):
-        row = [0.0] * (width + 1)
-        j = i - off
-        if i == 0:
-            row[0] = -ks[0] - x[0] * sl[0] * fs[0]
-            if n > 1:
-                row[1] = x[0] * sl[0] * fs[1]
-        else:
-            if j > 0:
-                row[j - 1] = x[i] * sl[i - 1] * fs[i - 1]
-            row[j] = -(ks[i] - ks[i - 1]) - x[i] * (sl[i] + sl[i - 1]) * fs[i]
-            if i + 1 < n:
-                row[j + 1] = x[i] * sl[i] * fs[i + 1]
-        row[width] = -res[j]
-        m.append(row)
-    return m
-
-
-def _newton_attempt(chain: _Chain, x, pinned):
-    """One damped Newton attempt from the cutoffs x, the top one at the
-    support end if ``pinned``: (cutoffs, levels, usages) at a root, or None.
-
-    The list loop, for any number of classes.  ``_newton_chain`` runs it
-    for one class and for four or more; it is the reference that the
-    straight-line kernels for two and three classes are tested against.
-    """
-    n = len(chain.caps)
-    top_cap = chain.theta_bar * (3.0 if not pinned else 1.0)
-    off = 1 if pinned else 0
-    trial = list(x)  # a pinned top cutoff is never stepped
-    for _ in range(NEWTON_ITERATIONS):
-        got = _newton_residual(chain, x, pinned)
-        if got is None:
-            return None
-        res, ks, qs = got
-        if max(map(abs, res)) < NEWTON_CONVERGED:
-            return x, ks, qs
-        step = _eliminate(_newton_system(chain, x, res, ks, qs, off))
-        if step is None:
-            return None
-        lam = 1.0
-        for _damp in range(NEWTON_HALVINGS):
-            for k in range(off, n):
-                trial[k] = x[k] + lam * step[k - off]
-            if trial[0] <= top_cap and trial[-1] >= -ORDER_ROUNDOFF and all(
-                    trial[i] > trial[i + 1] - ORDER_ROUNDOFF for i in range(n - 1)):
-                x = [min(max(t, 0.0), top_cap) for t in trial]
-                break
-            lam *= 0.5
-        else:
-            return None
-    return None
-
-
-# The straight-line kernels below are ``_newton_attempt`` for two and three
-# classes with every list unrolled into scalars.  They do the same
+# A Newton attempt is one damped Newton iteration from the cutoffs x, the
+# top one at the support end if ``pinned``: it returns (cutoffs, levels,
+# usages) at a root, or None.  Each chain length has its own straight-line
+# kernel on scalars, ``_newton_attempt1`` to ``_newton_attempt3``.  The
+# tests check every kernel bit for bit against a reference on lists that
+# builds the residuals and the Jacobian apart and solves [J | -r] by
+# Gaussian elimination with partial pivoting, pivots chosen by max() and
+# back substitution summed by sum().  So the kernels do the reference's
 # floating-point operations in the same order and call the population and
-# congestion kernels in the same order, so their results are the list
-# loop's bit for bit.  Left out are only operations whose result is
-# known or never read: the update of the entry a row operation
-# eliminates, the last pivot's reciprocal, and a pinned top cutoff's
-# bound check and clamp, which pass and leave it at theta_bar = top_cap.
-# Three identities keep the rest literal: F(0) is 0.0 and b - 0.0 == b,
-# so the last usage is its CDF value; max(a, b) is ``b if b > a else a``;
-# and ``_eliminate``'s back substitution starts its sum from the integer
-# 0, so it adds 0.0 first.
+# congestion kernels in the same order.  Left out are only operations
+# whose result is known or never read: the update of the entry a row
+# operation eliminates, the last pivot's reciprocal, and a pinned top
+# cutoff's bound check and clamp, which pass and leave it at theta_bar =
+# top_cap.  Three identities keep the rest literal: F(0) is 0.0 and
+# b - 0.0 == b, so the last usage is its CDF value; max(a, b) is
+# ``b if b > a else a``; and sum() starts from the integer 0, so the back
+# substitution adds 0.0 first.
 
 def _solve2(a00, a01, b0, a10, a11, b1):
-    """``_eliminate`` on [[a00, a01 | b0], [a10, a11 | b1]], straight-line."""
+    """The pivoted elimination of [[a00, a01 | b0], [a10, a11 | b1]],
+    straight-line; None when a pivot is below SINGULAR_PIVOT."""
     big = abs(a00)
     mag = abs(a10)
     if mag > big:
@@ -528,8 +420,9 @@ def _solve2(a00, a01, b0, a10, a11, b1):
 
 
 def _solve3(a00, a01, b0, a10, a11, a12, b1, a21, a22, b2):
-    """``_eliminate`` on the tridiagonal [[a00, a01, 0 | b0],
-    [a10, a11, a12 | b1], [0, a21, a22 | b2]], straight-line."""
+    """The pivoted elimination of the tridiagonal [[a00, a01, 0 | b0],
+    [a10, a11, a12 | b1], [0, a21, a22 | b2]], straight-line; None when a
+    pivot is below SINGULAR_PIVOT."""
     a02 = 0.0
     # column 0: row 2's 0.0 never beats the pivot candidates above it
     big = abs(a00)
@@ -558,8 +451,42 @@ def _solve3(a00, a01, b0, a10, a11, a12, b1, a21, a22, b2):
     return (b0 - ((0.0 + a01 * y1) + a02 * y2)) / a00, y1, y2
 
 
+def _newton_attempt1(chain: _Chain, x, pinned):
+    """A Newton attempt on one class.  Pinned, the top cutoff is the whole
+    chain, so the attempt is the closed form at theta_bar."""
+    cdf, density, value_capped, slope, saturates, (c0,), (g0,), slope_at, theta_bar = chain
+    if pinned:
+        q0 = cdf(theta_bar)
+        return [theta_bar], [value_capped(q0, c0)], [q0]
+    (x0,) = x
+    top_cap = theta_bar * 3.0
+    for _ in range(NEWTON_ITERATIONS):
+        q0 = cdf(x0)
+        if saturates and q0 >= c0:
+            return None
+        k0 = value_capped(q0, c0)
+        r0 = g0 - x0 * k0
+        if abs(r0) < NEWTON_CONVERGED:
+            return [x0], [k0], [q0]
+        s0 = slope(slope_at if slope_at > q0 else q0, c0)
+        a00 = -k0 - x0 * s0 * density(x0)
+        if abs(a00) < SINGULAR_PIVOT:
+            return None
+        d0 = -r0 / a00
+        lam = 1.0
+        for _damp in range(NEWTON_HALVINGS):
+            t0 = x0 + lam * d0
+            if t0 <= top_cap and t0 >= -ORDER_ROUNDOFF:
+                x0 = min(max(t0, 0.0), top_cap)
+                break
+            lam *= 0.5
+        else:
+            return None
+    return None
+
+
 def _newton_attempt2(chain: _Chain, x, pinned):
-    """``_newton_attempt`` for two classes, straight-line."""
+    """A Newton attempt on two classes."""
     cdf, density, value_capped, slope, saturates, (c0, c1), (g0, g1), slope_at, theta_bar = chain
     x0, x1 = x
     top_cap = theta_bar * (3.0 if not pinned else 1.0)
@@ -620,7 +547,7 @@ def _newton_attempt2(chain: _Chain, x, pinned):
 
 
 def _newton_attempt3(chain: _Chain, x, pinned):
-    """``_newton_attempt`` for three classes, straight-line."""
+    """A Newton attempt on three classes."""
     (cdf, density, value_capped, slope, saturates, (c0, c1, c2), (g0, g1, g2), slope_at,
      theta_bar) = chain
     x0, x1, x2 = x
@@ -702,20 +629,20 @@ def _newton_chain(scenario: MarketScenario, act_groups):
     """Newton solve of the cutoff chain for singleton groups.
 
     Returns (boundaries, levels, saturated), or None when the bisection
-    should take over: when no attempt converges, when a class is left with
-    less than the minimum usage, and when some group's interval collapses
-    (width at most NEWTON_COLLAPSE), since the chain cannot tell which
-    classes should then be empty.
+    should take over: when the chain has more than three groups, when no
+    attempt converges, when a class is left with less than the minimum
+    usage, and when some group's interval collapses (width at most
+    NEWTON_COLLAPSE), since the chain cannot tell which classes should
+    then be empty.
 
     Up to four attempts run, in this order, each only if the ones before
     it failed: unpinned from the capacity seed, unpinned from the default
     start, then with the top cutoff pinned at the support end (a saturated
     market) from the capacity seed and from the default start.  An unpinned
     solution whose top cutoff lies beyond the support end also moves on to
-    the pinned attempts.  Chains of two and three groups run each attempt
-    in a straight-line kernel (``_newton_attempt2``, ``_newton_attempt3``)
-    with the same bits as the list loop ``_newton_attempt``, which runs
-    every other length and is the kernels' reference in the tests.
+    the pinned attempts.  Each attempt runs in the straight-line kernel for
+    the chain's length, ``_newton_attempt1`` to ``_newton_attempt3``; the
+    nested bisection solves longer chains on its own.
 
     A saturation bound skips both unpinned attempts when it shows that
     neither can accept a root, i.e. reach |r_i| < NEWTON_CONVERGED for all
@@ -729,7 +656,7 @@ def _newton_chain(scenario: MarketScenario, act_groups):
       rounding.
     * K is nonnegative and, up to rounding far below PRICE_TOL,
       nondecreasing in q; for the latency kinds only below capacity, but
-      ``_newton_residual`` rejects a usage at capacity.  So k_i <= K(q, C_i)
+      an unpinned attempt rejects a usage at capacity.  So k_i <= K(q, C_i)
       whenever q_i <= q < C_i, and every k_i is finite when K(q_top, C_i) is.
     * An accepted root has |d_1 - theta_1 k_1| < NEWTON_CONVERGED with
       0 <= theta_1 <= theta_bar + SUPPORT_END_SLACK, so
@@ -749,12 +676,14 @@ def _newton_chain(scenario: MarketScenario, act_groups):
       rounding, which the extra CDF_ROUNDOFF in q_top covers; hence
       q_1 = F(theta_1) - F(theta_2) <= q_bar.
     """
+    n = len(act_groups)
+    if n > 3:
+        return None
     chain = _Chain.of(scenario, act_groups)
     cdf, _, value_capped, _, saturates, caps, gaps, _, theta_bar = chain
     dist = scenario.dist
-    n = len(caps)
     min_q = scenario.model.min_usage()
-    attempt = _newton_attempt2 if n == 2 else _newton_attempt3 if n == 3 else _newton_attempt
+    attempt = (_newton_attempt1, _newton_attempt2, _newton_attempt3)[n - 1]
 
     def capacity_seed():
         # fill a moderate fraction of each class, capped by population mass,
@@ -775,9 +704,6 @@ def _newton_chain(scenario: MarketScenario, act_groups):
 
     def run(pinned, seed=None):
         """One attempt from ``seed``, or from the default start."""
-        if pinned and n == 1:
-            q0 = cdf(theta_bar)
-            return [theta_bar], [value_capped(q0, caps[0])], [q0]
         x = list(seed) if seed else [theta_bar * (n - i) / (n + 0.5) * 0.9 for i in range(n)]
         if pinned:
             x[0] = theta_bar
