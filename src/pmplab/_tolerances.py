@@ -11,8 +11,10 @@ moves result bits.
 
 # finite stand-in for a diverged latency level inside solvers (never exposed)
 DIVERGED_LEVEL = 1e12
-# bisection steps that invert a congestion level to a usage: the loss kind's
-# inverse and a tie group's pooled level
+# most bisection steps that invert a congestion level to a usage: the loss
+# kind's inverse and a tie group's pooled level.  Each stops early once its
+# midpoint equals an end of the bracket, with the same result: every later
+# step could only collapse the bracket onto that midpoint.
 LEVEL_INVERSION_STEPS = 80
 # a tie group's level bracket starts at max(2 floor, this) and gives up,
 # returning its current top, once it passes the cap

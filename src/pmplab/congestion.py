@@ -215,6 +215,10 @@ def _kernels(model: CongestionModel) -> dict:
     * ``_saturates`` marks the latency kinds, whose level diverges as usage
       reaches capacity.
 
+    The level bisections run up to ``LEVEL_INVERSION_STEPS`` steps and stop
+    once a midpoint equals an end of its bracket, which every later step
+    would only collapse onto: the result bits are those of the full count.
+
     The kind and parameter are settled here, once per model, so the calls
     do no dispatch.
     """
@@ -258,7 +262,14 @@ def _kernels(model: CongestionModel) -> dict:
 
         def usage(caps):
             members = [(c, value(0.0, c)) for c in caps]
-            return lambda lev: sum([0.0 if lev <= fl else c - 1.0 / lev for c, fl in members])
+
+            def usage_at(lev):
+                total = 0.0
+                for c, fl in members:
+                    if not lev <= fl:
+                        total += c - 1.0 / lev
+                return total
+            return usage_at
     elif kind == "general_latency":
         delta2 = model.param
 
@@ -270,10 +281,16 @@ def _kernels(model: CongestionModel) -> dict:
 
         def usage(caps):
             members = [(c, value(0.0, c)) for c in caps]
-            return lambda lev: sum([
-                0.0 if lev <= fl else (a := 2.0 * c * lev - 2.0) * c / (1.0 + delta2 + a)
-                for c, fl in members
-            ])
+            b = 1.0 + delta2
+
+            def usage_at(lev):
+                total = 0.0
+                for c, fl in members:
+                    if not lev <= fl:
+                        a = 2.0 * c * lev - 2.0
+                        total += a * c / (b + a)
+                return total
+            return usage_at
     elif kind == "loss":
         kappa = model.param
 
@@ -305,6 +322,8 @@ def _kernels(model: CongestionModel) -> dict:
                 hi *= 2.0
             for _ in range(LEVEL_INVERSION_STEPS):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
                 if value(mid * c, c) < level:
                     lo = mid
                 else:
@@ -330,12 +349,17 @@ def _kernels(model: CongestionModel) -> dict:
             roots = [(c, 1.0 / c) for c in caps]
 
             def usage_at(lev):
+                if lev <= 0.0:
+                    return 0.0
+                total = 0.0
                 try:
-                    return sum([0.0 if lev <= 0.0 else c * (lev ** r) / eps for c, r in roots])
+                    for c, r in roots:
+                        total += c * (lev ** r) / eps
                 except OverflowError:
                     # lev ** (1/c) of a small class passed the float range
                     # above lev = 1: its usage exceeds any finite mass
                     return math.inf
+                return total
             return usage_at
 
     if saturates:
@@ -378,6 +402,8 @@ def _kernels(model: CongestionModel) -> dict:
                         return hi
                 for _ in range(LEVEL_INVERSION_STEPS):
                     mid = 0.5 * (lo + hi)
+                    if not lo < mid < hi:
+                        break
                     if usage_at(mid) < q:
                         lo = mid
                     else:

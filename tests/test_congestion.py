@@ -193,6 +193,133 @@ def test_usage_at_level_floor():
     assert cg.utilization_default(0.2).usage_at_level(0.0, 1.0) == pytest.approx(0.2)
 
 
+# float.hex of a tie group's level at q = frac * sum(caps), frac in
+# _TIE_FRACS (past capacity, 1.1, for the latency kinds only), and of loss's
+# inverse at _LOSS_LEVELS, as the fixed-count bisections returned them before
+# they stopped early
+_TIE_MODELS = {
+    "latency": cg.latency(), "general_latency(0.6)": cg.general_latency(0.6),
+    "outage(0.6)": cg.outage(0.6), "outage(1.0)": cg.outage(1.0),
+}
+_TIE_FRACS = (0.0, 1e-9, 0.5, 1 - 1e-5, 1 - 1e-7, 1.1)
+_TIE_LEVEL_BITS = {
+    ('latency', (0.7, 1.3)): (
+        '0x1.89d89d89d89d8p-1', '0x1.89d89d9403028p-1', '0x1.0000000000000p+1',
+        '0x1.86a0000007a2ap+16', '0x1.312d0002b1e7cp+23', '0x1.176592e000001p+40',
+    ),
+    ('latency', (1e-07, 0.5)): (
+        '0x1.0000000000000p+1', '0x1.000000044b830p+1', '0x1.0000035afe5e8p+2',
+        '0x1.8e98cba5f66f8p+17', '0x1.312cfbf30cac2p+25', '0x1.e8f1c15620002p+39',
+    ),
+    ('latency', (0.4, 0.9, 1.5)): (
+        '0x1.5555555555555p-1', '0x1.5555556005e54p-1', '0x1.ffffffffffffep+0',
+        '0x1.a286db6da6cdep+16', '0x1.46f95b6d56ca8p+23', '0x1.2a05f20000001p+40',
+    ),
+    ('general_latency(0.6)', (0.7, 1.3)): (
+        '0x1.89d89d89d89d8p-1', '0x1.89d89d91fa87ep-1', '0x1.d28ee16d37cbep+0',
+        '0x1.3880384385662p+16', '0x1.e84800e4e2d30p+22', '0x1.176592e000001p+40',
+    ),
+    ('general_latency(0.6)', (1e-07, 0.5)): (
+        '0x1.0000000000000p+1', '0x1.000000036f9c0p+1', '0x1.ccccd22b30974p+1',
+        '0x1.3ee0d61e63bb2p+17', '0x1.f8042d4620bc0p+24', '0x1.e8f1c15620002p+39',
+    ),
+    ('general_latency(0.6)', (0.4, 0.9, 1.5)): (
+        '0x1.5555555555555p-1', '0x1.5555555de2954p-1', '0x1.c76d4a6ecb082p+0',
+        '0x1.4ed29226733c6p+16', '0x1.059449b7c10bap+23', '0x1.2a05f20000001p+40',
+    ),
+    ('outage(0.6)', (0.7, 1.3)): (
+        '0x0.0p+0', '0x1.fa1d645e9c260p-40', '0x1.1db7fc6378beep-2',
+        '0x1.2f36113ec5130p-1', '0x1.2f36e010c598ap-1',
+    ),
+    ('outage(0.6)', (1e-07, 0.5)): (
+        '0x0.0p+0', '0x1.9af4cb3c7fb76p-16', '0x1.186f192605bc6p-1',
+        '0x1.8c976fe894270p-1', '0x1.8c97f090a6ed8p-1',
+    ),
+    ('outage(0.6)', (0.4, 0.9, 1.5)): (
+        '0x0.0p+0', '0x1.519c6004c011ep-45', '0x1.0fb8f209a8586p-2',
+        '0x1.3175007e5799ep-1', '0x1.3175d7b995c34p-1',
+    ),
+    ('outage(1.0)', (0.7, 1.3)): (
+        '0x0.0p+0', '0x1.eb9ca83c5dc66p-39', '0x1.f3d09ea7bc0c2p-2',
+        '0x1.fffeb0749c920p-1', '0x1.fffffca501ac6p-1',
+    ),
+    ('outage(1.0)', (1e-07, 0.5)): (
+        '0x0.0p+0', '0x1.09456706cb29ap-15', '0x1.6a09e8c75a27cp-1',
+        '0x1.ffff5b9535730p-1', '0x1.ffffff1b4b4cap-1',
+    ),
+    ('outage(1.0)', (0.4, 0.9, 1.5)): (
+        '0x0.0p+0', '0x1.6b3617251707ep-44', '0x1.f2f6a081b72acp-2',
+        '0x1.fffec6d31e272p-1', '0x1.fffffcde45d34p-1',
+    ),
+}
+_LOSS_LEVELS = (1e-9, 0.1, 0.5, 0.9, 0.999)
+_LOSS_USAGE_BITS = {
+    (1, 0.3): (
+        '0x1.49da7e3ba59aap-32', '0x1.1111111111111p-5', '0x1.3333333333333p-2',
+        '0x1.5999999999997p+1', '0x1.2bb3333333209p+8',
+    ),
+    (1, 2.0): (
+        '0x1.12e0be870a00ep-29', '0x1.c71c71c71c71cp-3', '0x1.0000000000000p+1',
+        '0x1.1fffffffffffep+4', '0x1.f37fffffffe10p+10',
+    ),
+    (4, 0.3): (
+        '0x1.bade36a25dd94p-10', '0x1.c64e1d2eff905p-3', '0x1.2812d22b6d698p-1',
+        '0x1.7ff726428eb3dp+1', '0x1.2bfffffffea36p+8',
+    ),
+    (4, 2.0): (
+        '0x1.710e82dca38a6p-7', '0x1.7a966da72a4dap+0', '0x1.ed74b39db65a8p+1',
+        '0x1.3ff89fe22195ep+4', '0x1.f3fffffffdbb0p+10',
+    ),
+}
+
+
+@pytest.mark.parametrize("name, caps", list(_TIE_LEVEL_BITS))
+def test_tie_level_bits(name, caps):
+    model = _TIE_MODELS[name]
+    level = model._tie_level(caps)
+    fracs = [f for f in _TIE_FRACS if f <= 1.0 or model._saturates]
+    got = tuple(float.hex(level(f * sum(caps))) for f in fracs)
+    assert got == _TIE_LEVEL_BITS[name, caps]
+
+
+@pytest.mark.parametrize("kappa, c", list(_LOSS_USAGE_BITS))
+def test_loss_usage_at_level_bits(kappa, c):
+    model = cg.loss(kappa)
+    got = tuple(float.hex(model.usage_at_level(lev, c)) for lev in _LOSS_LEVELS)
+    assert got == _LOSS_USAGE_BITS[kappa, c]
+
+
+@pytest.mark.parametrize("model", [cg.latency(), cg.general_latency(0.6), cg.outage(0.6)])
+def test_usage_at_a_nan_level_is_nan(model):
+    assert math.isnan(model.usage_at_level(math.nan, 0.8))
+    assert math.isnan(model._usage((0.5, 0.8))(math.nan))
+
+
+def _ref_loss_usage(model, level, c):
+    """Loss's inverse as a plain 80-step bisection over ``_value``, with no
+    early stop, which ``usage_at_level`` must reproduce bit for bit."""
+    lo, hi = 0.0, 1.0
+    while model._value(hi * c, c) < level:
+        hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if model._value(mid * c, c) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) * c
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).map(cg.loss),
+    st.floats(1e-6, 3.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_loss_inverse_matches_bisection_reference(model, c, level):
+    assert float.hex(model.usage_at_level(level, c)) == float.hex(_ref_loss_usage(model, level, c))
+
+
 # ---------------------------------------------------------------------------
 # scaling classifier
 # ---------------------------------------------------------------------------

@@ -377,9 +377,14 @@ def test_identical_price_levels_match():
 
 def _ref_group_level(model, caps, q):
     """Plain 80-step bisection over the public usage_at_level, which a
-    model's tie-group level must reproduce bit for bit."""
+    model's tie-group level must reproduce bit for bit.  The members' usages
+    are added left to right, as the kernels add them (sum() compensates
+    from Python 3.12 on)."""
     def usage_at(lev):
-        return sum(model.usage_at_level(lev, c) for c in caps)
+        total = 0.0
+        for c in caps:
+            total += model.usage_at_level(lev, c)
+        return total
 
     q = max(q, 0.0)
     cap = sum(caps) if model.kind in ("latency", "general_latency") else math.inf
@@ -436,6 +441,19 @@ def test_tie_group_level_matches_bisection_reference(model, caps, frac):
         pooled = len(caps) / (sum(caps) - q)
         if pooled > 1.0 / min(caps) * (1.0 + 1e-9):  # every member serves
             assert level == pytest.approx(pooled, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the bisection over sum(c - 1/lev) loses the level to cancellation "
+    "as q nears the pooled capacity: 5.55e-12 off n/(sum(caps) - q) here",
+)
+def test_latency_tie_level_near_pooled_capacity_matches_closed_form():
+    # the case the property above finds on some draws
+    caps = [1.0, 1.0]
+    q = 0.99999 * sum(caps)
+    level = cg.latency()._tie_level(caps)(q)
+    assert level == pytest.approx(len(caps) / (sum(caps) - q), rel=1e-12, abs=0.0)
 
 
 def _ref_pooled_level(model, caps, q):
